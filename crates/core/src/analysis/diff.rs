@@ -30,6 +30,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use sim_core::stats::nearest_rank;
 use sim_core::Nanos;
 
 use crate::events::CallKind;
@@ -263,14 +264,10 @@ impl SideStats {
     }
 
     /// Same nearest-rank definition as `CallStats`.
-    fn percentile(&self, p: f64) -> u64 {
+    fn percentile(&self, p: u64) -> u64 {
         let mut sorted = self.durations.clone();
         sorted.sort_unstable();
-        if sorted.is_empty() {
-            return 0;
-        }
-        let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-        sorted[rank.clamp(1, sorted.len()) - 1]
+        nearest_rank(&sorted, p)
     }
 }
 
@@ -414,10 +411,8 @@ impl TraceDiff {
                 (None, Some(_)) => only_in_b.push(format!("{name} ({kind})")),
                 (Some(sa), Some(sb)) => {
                     let mean = MetricDelta::new(sa.mean(), sb.mean());
-                    let p50 =
-                        MetricDelta::new(sa.percentile(50.0) as f64, sb.percentile(50.0) as f64);
-                    let p99 =
-                        MetricDelta::new(sa.percentile(99.0) as f64, sb.percentile(99.0) as f64);
+                    let p50 = MetricDelta::new(sa.percentile(50) as f64, sb.percentile(50) as f64);
+                    let p99 = MetricDelta::new(sa.percentile(99) as f64, sb.percentile(99) as f64);
                     let gated = sa.count() >= config.min_count && sb.count() >= config.min_count;
                     let mut flagged = Vec::new();
                     let mut verdict = Verdict::Neutral;

@@ -3,6 +3,8 @@
 
 use std::collections::BTreeMap;
 
+use sim_core::stats::nearest_rank;
+
 use crate::events::CallRef;
 
 use super::parents::Instances;
@@ -62,21 +64,18 @@ impl CallStats {
             })
             .sum::<f64>()
             / count as f64;
-        let pct = |p: f64| -> u64 {
-            let rank = ((p / 100.0) * count as f64).ceil() as usize;
-            sorted[rank.clamp(1, count) - 1]
-        };
+        let pct = |p| nearest_rank(&sorted, p);
         let frac_under = |limit_ns: u64| -> f64 {
             adjusted.iter().filter(|&&d| d < limit_ns).count() as f64 / count as f64
         };
         CallStats {
             count,
             mean_ns: mean,
-            median_ns: pct(50.0),
+            median_ns: pct(50),
             stddev_ns: variance.sqrt(),
-            p90_ns: pct(90.0),
-            p95_ns: pct(95.0),
-            p99_ns: pct(99.0),
+            p90_ns: pct(90),
+            p95_ns: pct(95),
+            p99_ns: pct(99),
             min_ns: sorted[0],
             max_ns: sorted[count - 1],
             total_ns: total,

@@ -246,11 +246,7 @@ impl Store {
     ///
     /// Propagates filesystem errors.
     pub fn open_segmented(path: impl AsRef<Path>) -> Result<SegmentedWriter, DbError> {
-        let mut file = fs::File::create(path)?;
-        file.write_all(SEG_MAGIC)?;
-        file.write_all(&[SEG_VERSION])?;
-        file.flush()?;
-        Ok(SegmentedWriter { file })
+        SegmentedWriter::new(fs::File::create(path)?)
     }
 
     /// Parses a segmented recording *strictly*: a torn tail is an error.
@@ -344,16 +340,34 @@ impl Store {
 /// progresses. Each frame is a full-table snapshot, length-prefixed and
 /// CRC-32-protected, flushed on append — see [`Store::open_segmented`].
 #[derive(Debug)]
-pub struct SegmentedWriter {
-    file: fs::File,
+pub struct SegmentedWriter<W: Write = fs::File> {
+    out: W,
 }
 
-impl SegmentedWriter {
+impl<W: Write> SegmentedWriter<W> {
+    /// Starts a segmented recording on `out` by writing the `EVSG`
+    /// header.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O errors.
+    pub fn new(mut out: W) -> Result<SegmentedWriter<W>, DbError> {
+        out.write_all(SEG_MAGIC)?;
+        out.write_all(&[SEG_VERSION])?;
+        out.flush()?;
+        Ok(SegmentedWriter { out })
+    }
+
+    /// Finishes the recording and returns the underlying writer.
+    pub fn into_inner(self) -> W {
+        self.out
+    }
+
     /// Appends one table snapshot as a frame and flushes it.
     ///
     /// # Errors
     ///
-    /// Propagates filesystem errors.
+    /// Propagates I/O errors.
     pub fn append<R: Record>(&mut self, table: &Table<R>) -> Result<(), DbError> {
         let mut enc = Encoder::new();
         table.encode(&mut enc);
@@ -365,18 +379,18 @@ impl SegmentedWriter {
     ///
     /// # Errors
     ///
-    /// Propagates filesystem errors.
+    /// Propagates I/O errors.
     pub fn append_store(&mut self, store: &Store) -> Result<(), DbError> {
         for (tag, blob) in &store.sections {
             self.write_frame(tag, blob)?;
         }
-        self.file.flush()?;
+        self.out.flush()?;
         Ok(())
     }
 
     fn append_frame(&mut self, tag: &str, blob: &[u8]) -> Result<(), DbError> {
         self.write_frame(tag, blob)?;
-        self.file.flush()?;
+        self.out.flush()?;
         Ok(())
     }
 
@@ -390,7 +404,7 @@ impl SegmentedWriter {
         let mut tail = Encoder::new();
         tail.u32(crc);
         frame.extend_from_slice(&tail.into_bytes());
-        self.file.write_all(&frame)?;
+        self.out.write_all(&frame)?;
         Ok(())
     }
 }
@@ -522,22 +536,32 @@ mod tests {
         assert!(matches!(got, Err(DbError::Corrupt(_))), "{got:?}");
     }
 
+    /// A file path unique to one test in one process, removed on drop.
+    struct TempPath(std::path::PathBuf);
+
+    impl TempPath {
+        fn new(test: &str) -> TempPath {
+            let name = format!("eventdb-{test}-{:x}.evdb", std::process::id());
+            TempPath(std::env::temp_dir().join(name))
+        }
+    }
+
+    impl Drop for TempPath {
+        fn drop(&mut self) {
+            let _ = fs::remove_file(&self.0);
+        }
+    }
+
     #[test]
     fn file_roundtrip() {
-        let dir = std::env::temp_dir().join("eventdb-test");
-        fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("trace.evdb");
-        sample_store().save(&path).unwrap();
-        let s = Store::load(&path).unwrap();
+        let path = TempPath::new("file-roundtrip");
+        sample_store().save(&path.0).unwrap();
+        let s = Store::load(&path.0).unwrap();
         assert_eq!(s.tags(), vec!["a", "b"]);
-        fs::remove_file(path).unwrap();
     }
 
     fn segmented_bytes() -> Vec<u8> {
-        let dir = std::env::temp_dir().join("eventdb-seg-test");
-        fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("seg-{:x}.evdb", std::process::id()));
-        let mut w = Store::open_segmented(&path).unwrap();
+        let mut w = SegmentedWriter::new(Vec::new()).unwrap();
         let mut ta = Table::new();
         ta.insert(A(1));
         w.append(&ta).unwrap();
@@ -546,9 +570,7 @@ mod tests {
         let mut tb = Table::new();
         tb.insert(B("x".into()));
         w.append(&tb).unwrap();
-        let data = fs::read(&path).unwrap();
-        fs::remove_file(path).unwrap();
-        data
+        w.into_inner()
     }
 
     #[test]
@@ -630,14 +652,11 @@ mod tests {
 
     #[test]
     fn load_auto_detects_segmented_layout_and_salvages() {
-        let dir = std::env::temp_dir().join("eventdb-seg-test");
-        fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("load-{:x}.evdb", std::process::id()));
+        let path = TempPath::new("load-segmented");
         let data = segmented_bytes();
         // Write a torn recording; load must salvage it transparently.
-        fs::write(&path, &data[..data.len() - 3]).unwrap();
-        let s = Store::load(&path).unwrap();
+        fs::write(&path.0, &data[..data.len() - 3]).unwrap();
+        let s = Store::load(&path.0).unwrap();
         assert_eq!(s.tags(), vec!["a"]);
-        fs::remove_file(path).unwrap();
     }
 }

@@ -48,15 +48,9 @@ impl SlotStats {
 
 /// Nearest-rank percentile over an unsorted sample; 0 on an empty sample.
 pub fn percentile(samples: &[u64], p: u64) -> u64 {
-    if samples.is_empty() {
-        return 0;
-    }
     let mut sorted = samples.to_vec();
     sorted.sort_unstable();
-    // Nearest-rank: the smallest sample with at least p% of the sample set
-    // at or below it.
-    let rank = (p * sorted.len() as u64).div_ceil(100).max(1) as usize;
-    sorted[rank - 1]
+    sim_core::stats::nearest_rank(&sorted, p)
 }
 
 /// Fleet-wide totals, computed from all slots' counters at snapshot time.

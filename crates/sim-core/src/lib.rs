@@ -9,6 +9,7 @@
 //!   Spectre-patched, fully patched incl. Foreshadow/L1TF) calibrated with
 //!   the measurements reported in §2.3.1 and Table 2 of the paper,
 //! * [`rng`] — seeded deterministic random number helpers,
+//! * [`stats`] — the nearest-rank percentile every latency summary uses,
 //! * [`fault`] — seeded, schedulable fault plans ([`FaultPlan`]) and the
 //!   deterministic injector the stack's chaos hooks poll.
 //!
@@ -31,6 +32,7 @@ pub mod fault;
 pub mod hw;
 pub mod lifecycle;
 pub mod rng;
+pub mod stats;
 pub mod sync;
 pub mod syncev;
 pub mod time;

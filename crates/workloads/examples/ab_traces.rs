@@ -25,12 +25,9 @@ fn main() {
     let dir = std::path::PathBuf::from(args.next().unwrap_or_else(|| {
         panic!("usage: ab_traces <output-dir> [unpatched|spectre|l1tf] [requests]")
     }));
-    let profile = match args.next().as_deref() {
-        None | Some("unpatched") => HwProfile::Unpatched,
-        Some("spectre") => HwProfile::Spectre,
-        Some("l1tf") | Some("foreshadow") => HwProfile::Foreshadow,
-        Some(other) => panic!("unknown profile `{other}`"),
-    };
+    let profile = args.next().map_or(HwProfile::Unpatched, |p| {
+        HwProfile::parse(&p).unwrap_or_else(|| panic!("unknown profile `{p}`"))
+    });
     let requests: u64 = args
         .next()
         .map(|r| r.parse().expect("requests must be a number"))

@@ -49,12 +49,10 @@ fn main() {
         Some(other) => custom_scale(other)
             .unwrap_or_else(|| panic!("unknown scale `{other}` (tiny|smoke|full|NxM)")),
     };
-    let (profile, label) = match args.next().as_deref() {
-        None | Some("unpatched") => (HwProfile::Unpatched, "unpatched"),
-        Some("spectre") => (HwProfile::Spectre, "spectre"),
-        Some("l1tf") | Some("foreshadow") => (HwProfile::Foreshadow, "l1tf"),
-        Some(other) => panic!("unknown profile `{other}`"),
-    };
+    let profile = args.next().map_or(HwProfile::Unpatched, |p| {
+        HwProfile::parse(&p).unwrap_or_else(|| panic!("unknown profile `{p}`"))
+    });
+    let label = profile.file_label();
 
     let start = Instant::now();
     let run = fleet::run(profile, &cfg, None).expect("fleet run");

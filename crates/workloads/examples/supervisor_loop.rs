@@ -44,12 +44,11 @@ fn main() {
                     .expect("--requests N");
             }
             "--profile" => {
-                profile = match args.next().as_deref() {
-                    Some("unpatched") => HwProfile::Unpatched,
-                    Some("spectre") => HwProfile::Spectre,
-                    Some("l1tf") | Some("foreshadow") => HwProfile::Foreshadow,
-                    other => panic!("unknown profile {other:?}"),
-                };
+                let name = args.next();
+                profile = name
+                    .as_deref()
+                    .and_then(HwProfile::parse)
+                    .unwrap_or_else(|| panic!("unknown profile {name:?}"));
             }
             other if path.is_none() => path = Some(other.to_string()),
             other => panic!("unexpected argument {other:?}"),

@@ -45,7 +45,7 @@ use std::sync::{mpsc, Mutex};
 use std::time::Duration;
 
 use sgx_perf::analysis::diff::{DiffConfig, TraceDiff, Verdict, REGRESSION_EXIT_CODE};
-use sgx_perf::{Logger, LoggerConfig, TraceDb};
+use sgx_perf::{json, Logger, LoggerConfig, TraceDb};
 use sim_core::campaign::{CampaignSpec, CellCoord, SwitchlessAxis};
 use sim_core::fault::{fmt_duration, FaultPlan};
 use sim_threads::{
@@ -497,7 +497,7 @@ impl MatrixRun {
                  \"plan\": \"{}\", \"switchless\": \"{}\", \"seed\": {}, \
                  \"baseline_index\": {}, \"file\": \"{}\", \"bytes\": {}, \
                  \"fault_rows\": {}, \"verdict\": \"{}\", \"speedup\": {:.3}, \
-                 \"outcome\": \"{}\", \"detail\": \"{}\", \"attempts\": {}, \
+                 \"outcome\": \"{}\", \"detail\": {}, \"attempts\": {}, \
                  \"flaky\": {}}}{}\n",
                 c.coord.index,
                 spec.workloads[c.coord.workload],
@@ -512,7 +512,7 @@ impl MatrixRun {
                 c.verdict.label(),
                 c.speedup,
                 c.outcome.label(),
-                json_escape(c.outcome.detail()),
+                json::string(c.outcome.detail()),
                 c.attempts,
                 c.flaky,
                 comma,
@@ -535,23 +535,6 @@ fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x100_0000_01b3);
     }
     h
-}
-
-/// Minimal JSON string escaping (panic messages can carry anything).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Extracts and unescapes the string value of `"key": "..."` from one
@@ -625,12 +608,12 @@ fn render_manifest(spec_checksum: u64, entries: &[ManifestEntry]) -> String {
         let comma = if i + 1 == entries.len() { "" } else { "," };
         out.push_str(&format!(
             "    {{\"index\": {}, \"file\": \"{}\", \"outcome\": \"{}\", \
-             \"detail\": \"{}\", \"attempts\": {}, \"flaky\": {}, \
+             \"detail\": {}, \"attempts\": {}, \"flaky\": {}, \
              \"bytes\": {}, \"checksum\": \"{:016x}\"}}{}\n",
             e.index,
             e.file,
             e.outcome.label(),
-            json_escape(e.outcome.detail()),
+            json::string(e.outcome.detail()),
             e.attempts,
             e.flaky,
             e.bytes,
@@ -673,6 +656,10 @@ fn parse_manifest(text: &str) -> Option<(u64, Vec<ManifestEntry>)> {
 struct CellResult {
     outcome: CellOutcome,
     trace: Option<Vec<u8>>,
+    /// Fault rows in the trace, counted where the trace is first decoded
+    /// (the worker, or the resume check) so the serial verdict phase
+    /// never decodes a trace just to count them.
+    fault_rows: usize,
     attempts: u32,
     flaky: bool,
     checksum: u64,
@@ -776,6 +763,7 @@ fn execute_cell(
                 return CellResult {
                     outcome: CellOutcome::Ok,
                     checksum: fnv1a(&bytes),
+                    fault_rows: chaos::fault_rows(&bytes),
                     trace: Some(bytes),
                     attempts: attempt + 1,
                     flaky: attempt > 0,
@@ -787,6 +775,7 @@ fn execute_cell(
                     return CellResult {
                         outcome,
                         trace: None,
+                        fault_rows: 0,
                         attempts: attempt,
                         flaky: false,
                         checksum: 0,
@@ -844,15 +833,16 @@ fn salvage(
                 let Ok(bytes) = std::fs::read(dir.join(&e.file)) else {
                     continue;
                 };
-                if bytes.len() != e.bytes
-                    || fnv1a(&bytes) != e.checksum
-                    || TraceDb::from_bytes(&bytes).is_err()
-                {
+                if bytes.len() != e.bytes || fnv1a(&bytes) != e.checksum {
                     continue;
                 }
+                let Ok(trace) = TraceDb::from_bytes(&bytes) else {
+                    continue;
+                };
                 out[e.index] = Some(CellResult {
                     outcome: CellOutcome::Ok,
                     checksum: e.checksum,
+                    fault_rows: trace.faults.len(),
                     trace: Some(bytes),
                     attempts: e.attempts,
                     flaky: e.flaky,
@@ -862,6 +852,7 @@ fn salvage(
                 out[e.index] = Some(CellResult {
                     outcome: failed.clone(),
                     trace: None,
+                    fault_rows: 0,
                     attempts: e.attempts,
                     flaky: e.flaky,
                     checksum: 0,
@@ -978,23 +969,13 @@ pub fn run(
         .iter()
         .map(|coord| {
             let r = &results[coord.index];
-            let (verdict, speedup, bytes, fault_rows) = match &r.trace {
-                None => (CellVerdict::Failed, 0.0, 0, 0),
-                Some(bytes) if coord.baseline == coord.index => (
-                    CellVerdict::Baseline,
-                    1.0,
-                    bytes.len(),
-                    chaos::fault_rows(bytes),
-                ),
+            let (verdict, speedup) = match &r.trace {
+                None => (CellVerdict::Failed, 0.0),
+                Some(_) if coord.baseline == coord.index => (CellVerdict::Baseline, 1.0),
                 Some(bytes) => match results[coord.baseline].trace.as_deref() {
                     // A healthy cell with a broken baseline cannot be
                     // verdicted — skipped, not failed.
-                    None => (
-                        CellVerdict::Skipped,
-                        0.0,
-                        bytes.len(),
-                        chaos::fault_rows(bytes),
-                    ),
+                    None => (CellVerdict::Skipped, 0.0),
                     Some(base) => {
                         let a = TraceDb::from_bytes(base).expect("baseline trace");
                         let b = TraceDb::from_bytes(bytes).expect("cell trace");
@@ -1004,20 +985,15 @@ pub fn run(
                             Verdict::Neutral => CellVerdict::Neutral,
                             Verdict::Regression => CellVerdict::Regressed,
                         };
-                        (
-                            verdict,
-                            diff.speedup(),
-                            bytes.len(),
-                            chaos::fault_rows(bytes),
-                        )
+                        (verdict, diff.speedup())
                     }
                 },
             };
             MatrixCell {
                 coord: *coord,
                 file: plan.file_name(coord),
-                bytes,
-                fault_rows,
+                bytes: r.trace.as_ref().map_or(0, Vec::len),
+                fault_rows: r.fault_rows,
                 verdict,
                 speedup,
                 outcome: r.outcome.clone(),
@@ -1205,18 +1181,31 @@ mod tests {
     #[test]
     fn resume_reruns_only_missing_or_corrupt_cells_byte_identically() {
         let dir = std::env::temp_dir().join(format!("sgxperf-resume-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let plan = MatrixPlan::from_spec(tiny_spec("")).unwrap();
-        let full = run(&plan, Engine::Fast, 2, Some(&dir), false).unwrap();
-        // Fabricate an interrupted run: one trace missing, one corrupt.
-        std::fs::remove_file(dir.join(&full.cells[1].file)).unwrap();
-        std::fs::write(dir.join(&full.cells[2].file), b"garbage").unwrap();
-        let resumed = run(&plan, Engine::Fast, 2, Some(&dir), true).unwrap();
-        assert_eq!(resumed.render(), full.render());
-        assert_eq!(resumed.to_json(), full.to_json());
-        for cell in &resumed.cells {
-            let bytes = std::fs::read(dir.join(&cell.file)).expect("restored trace");
-            assert_eq!(bytes.len(), cell.bytes, "{}", cell.file);
+        // The faulted spec salvages cells with fault rows: their counts
+        // come from the resume check's decode, not from a re-run.
+        for extra in [
+            "",
+            "[faults]\nnone = \"\"\nlight = \"seed=9;ocall-fail@call=3:times=1\"\n",
+        ] {
+            std::fs::remove_dir_all(&dir).ok();
+            let plan = MatrixPlan::from_spec(tiny_spec(extra)).unwrap();
+            let full = run(&plan, Engine::Fast, 2, Some(&dir), false).unwrap();
+            // Fabricate an interrupted run: one trace missing, one corrupt.
+            std::fs::remove_file(dir.join(&full.cells[1].file)).unwrap();
+            std::fs::write(dir.join(&full.cells[2].file), b"garbage").unwrap();
+            let resumed = run(&plan, Engine::Fast, 2, Some(&dir), true).unwrap();
+            assert_eq!(resumed.render(), full.render());
+            assert_eq!(resumed.to_json(), full.to_json());
+            for cell in &resumed.cells {
+                let bytes = std::fs::read(dir.join(&cell.file)).expect("restored trace");
+                assert_eq!(bytes.len(), cell.bytes, "{}", cell.file);
+            }
+            let salvaged_faults = resumed
+                .cells
+                .iter()
+                .enumerate()
+                .any(|(i, c)| ![1, 2].contains(&i) && c.fault_rows > 0);
+            assert_eq!(salvaged_faults, !extra.is_empty(), "{}", full.render());
         }
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -6,6 +6,7 @@
 use proptest::prelude::*;
 
 use sim_core::campaign::{CampaignSpec, SwitchlessAxis};
+use workloads::campaign::matrix::MatrixPlan;
 
 const WORKLOAD_POOL: &[&str] = &[
     "epc_thrash",
@@ -257,19 +258,33 @@ proptest! {
     }
 }
 
-/// The repo's shipped spec files stay loadable and canonicalisable — the
-/// same invariant the `campaign_spec` example enforces, kept here so
-/// `cargo test` alone catches a drifted spec.
+/// The repo's shipped spec files stay loadable, canonicalisable and
+/// resolvable against the workload registry, so `cargo test` alone
+/// catches a drifted spec.
 #[test]
 fn shipped_specs_parse_and_canonicalise() {
-    for name in ["smoke", "stressors", "chaos_matrix", "faulty"] {
-        let path = format!("{}/../specs/{name}.toml", env!("CARGO_MANIFEST_DIR"));
-        let src = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-        let spec = CampaignSpec::parse(&src).unwrap_or_else(|e| panic!("{path}: {e}"));
-        let canon = spec.to_string();
-        assert_eq!(CampaignSpec::parse(&canon).unwrap(), spec, "{path}");
-        assert!(spec.cell_count() > 0, "{path}");
+    let dir = format!("{}/../specs", env!("CARGO_MANIFEST_DIR"));
+    let mut checked = 0;
+    for entry in std::fs::read_dir(&dir).unwrap_or_else(|e| panic!("{dir}: {e}")) {
+        let path = entry.expect("spec dir entry").path();
+        if path.extension().is_none_or(|e| e != "toml") {
+            continue;
+        }
+        let name = path.display().to_string();
+        let src = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let spec = CampaignSpec::parse(&src).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(
+            CampaignSpec::parse(&spec.to_string()).unwrap(),
+            spec,
+            "{name}"
+        );
+        let count = spec.cell_count();
+        assert!(count > 0, "{name}");
+        let plan = MatrixPlan::from_spec(spec).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(plan.cells().len(), count, "{name}");
+        checked += 1;
     }
+    assert!(checked >= 6, "expected every shipped spec, found {checked}");
     // The acceptance matrix keeps its floor: 4 workloads x 3 profiles x
     // 2 plans x 2 switchless x 2 seeds.
     let src = std::fs::read_to_string(format!(

@@ -107,13 +107,16 @@ proptest! {
     }
 
     /// A plan with a seed but no faults is a structural no-op: the trace
-    /// is byte-identical to a run with no plan installed at all.
+    /// is byte-identical to a run with no plan installed at all, on every
+    /// hardware profile.
     #[test]
     fn zero_fault_plans_equal_no_plan(seed in any::<u64>()) {
-        prop_assert_eq!(
-            chaos::antipatterns_trace(HwProfile::Unpatched, Some(&FaultPlan::seeded(seed))),
-            chaos::antipatterns_trace(HwProfile::Unpatched, None)
-        );
+        for profile in HwProfile::ALL {
+            prop_assert_eq!(
+                chaos::antipatterns_trace(profile, Some(&FaultPlan::seeded(seed))),
+                chaos::antipatterns_trace(profile, None)
+            );
+        }
     }
 
     /// The canonical `Display` form of a random plan parses back to the

@@ -10,40 +10,36 @@
 //! a virtual timestamp shifted, a fault landing on a different call —
 //! fails here with the first differing cell named.
 
+use sim_core::campaign::CampaignSpec;
 use sim_core::fault::{FaultKind, FaultPlan, FaultTrigger};
 use sim_core::{HwProfile, Nanos};
 use sim_threads::{with_engine, Engine};
-use workloads::campaign::{Cell, Workload};
+use workloads::campaign::matrix::MatrixPlan;
 use workloads::chaos;
 
-/// Runs one campaign cell on both engines and asserts byte-equality.
-fn assert_cell_identical(cell: Cell) {
-    let legacy = with_engine(Engine::Legacy, || cell.run());
-    let fast = with_engine(Engine::Fast, || cell.run());
-    assert_eq!(
-        legacy,
-        fast,
-        "engine divergence on {} ({} legacy byte(s) vs {} fast byte(s))",
-        cell.file_name(),
-        legacy.len(),
-        fast.len(),
-    );
-}
-
-/// The full matrix: every campaign workload × every hardware profile ×
-/// {fault-free, seeded chaos}. Workload-appropriate plans are derived
-/// from the seed by [`Cell::run`].
+/// The full matrix: every cell of the shipped `replay` spec (every
+/// campaign workload × every hardware profile × {fault-free, canned
+/// chaos plan}) and of the `recovery` spec (the loss-surviving workloads
+/// under a mid-run enclave loss), run on both engines and compared byte
+/// for byte.
 #[test]
 fn every_workload_profile_and_plan_is_byte_identical_across_engines() {
-    for workload in Workload::ALL {
-        for profile in HwProfile::ALL {
-            for seed in [0u64, 11] {
-                assert_cell_identical(Cell {
-                    workload,
-                    profile,
-                    seed,
-                });
-            }
+    for name in ["replay", "recovery"] {
+        let path = format!("{}/../specs/{name}.toml", env!("CARGO_MANIFEST_DIR"));
+        let src = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+        let spec = CampaignSpec::parse(&src).unwrap_or_else(|e| panic!("{path}: {e}"));
+        let plan = MatrixPlan::from_spec(spec).unwrap_or_else(|e| panic!("{path}: {e}"));
+        for cell in plan.cells() {
+            let legacy = with_engine(Engine::Legacy, || plan.run_cell(&cell, 0));
+            let fast = with_engine(Engine::Fast, || plan.run_cell(&cell, 0));
+            assert_eq!(
+                legacy,
+                fast,
+                "engine divergence on {} ({} legacy byte(s) vs {} fast byte(s))",
+                plan.file_name(&cell),
+                legacy.len(),
+                fast.len(),
+            );
         }
     }
 }
