@@ -1,16 +1,43 @@
 //! Smoke tests of the `sgxperf` command-line analyser.
 
+use std::ops::Deref;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::Arc;
 
+use eventdb::ScratchDir;
 use sgx_perf::{Logger, LoggerConfig};
 use sgx_sdk::{CallData, OcallTableBuilder, Runtime, ThreadCtx};
 use sgx_sim::{EnclaveConfig, Machine};
 use sim_core::{Clock, HwProfile, Nanos};
 
+/// A file in a scratch directory of its own; both are removed when it
+/// drops.
+struct ScratchFile {
+    path: PathBuf,
+    _dir: ScratchDir,
+}
+
+impl ScratchFile {
+    fn new(name: &str) -> ScratchFile {
+        let dir = ScratchDir::new("sgxperf-cli-test");
+        ScratchFile {
+            path: dir.join(name),
+            _dir: dir,
+        }
+    }
+}
+
+impl Deref for ScratchFile {
+    type Target = Path;
+    fn deref(&self) -> &Path {
+        &self.path
+    }
+}
+
 /// Records a small trace with one hot ecall + nested ocall and writes it
-/// to a temp file; returns the path.
-fn record_trace(tag: &str) -> std::path::PathBuf {
+/// to a scratch file, which it returns.
+fn record_trace(tag: &str) -> ScratchFile {
     let machine = Arc::new(Machine::new(Clock::new(), HwProfile::Unpatched));
     let rt = Runtime::new(machine);
     let spec = sgx_edl::parse(
@@ -45,10 +72,8 @@ fn record_trace(tag: &str) -> std::path::PathBuf {
         )
         .unwrap();
     }
-    let dir = std::env::temp_dir().join("sgxperf-cli-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("{tag}.evdb"));
-    logger.finish().save(&path).unwrap();
+    let path = ScratchFile::new(&format!("{tag}.evdb"));
+    logger.finish().save(&*path).unwrap();
     path
 }
 
@@ -160,7 +185,7 @@ fn info_command_counts_tables() {
 
 /// EDL with one exercised `user_check` ecall and one dead public ecall —
 /// the cross-check scenario. Returned paths: (edl file, trace file).
-fn record_lint_scenario(tag: &str) -> (std::path::PathBuf, std::path::PathBuf) {
+fn record_lint_scenario(tag: &str) -> (ScratchFile, ScratchFile) {
     const EDL: &str = "enclave {
     trusted {
         public void ecall_step([user_check] void* p);
@@ -200,12 +225,10 @@ fn record_lint_scenario(tag: &str) -> (std::path::PathBuf, std::path::PathBuf) {
         )
         .unwrap();
     }
-    let dir = std::env::temp_dir().join("sgxperf-cli-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let edl_path = dir.join(format!("{tag}.edl"));
-    std::fs::write(&edl_path, EDL).unwrap();
-    let trace_path = dir.join(format!("{tag}.evdb"));
-    logger.finish().save(&trace_path).unwrap();
+    let edl_path = ScratchFile::new(&format!("{tag}.edl"));
+    std::fs::write(&*edl_path, EDL).unwrap();
+    let trace_path = ScratchFile::new(&format!("{tag}.evdb"));
+    logger.finish().save(&*trace_path).unwrap();
     (edl_path, trace_path)
 }
 
@@ -352,7 +375,7 @@ fn usage_synopses_cover_current_flags() {
 /// Builds a trace whose sync-event table carries a seeded data race and
 /// lock inversion (the CLI cannot depend on the workloads crate, so the
 /// rows are written directly).
-fn record_racy_trace(tag: &str) -> std::path::PathBuf {
+fn record_racy_trace(tag: &str) -> ScratchFile {
     use sgx_perf::events::SyncEvRow;
     use sim_core::syncev::{SyncOp, EXTERNAL_THREAD};
 
@@ -380,10 +403,8 @@ fn record_racy_trace(tag: &str) -> std::path::PathBuf {
     push(1, SyncOp::LockAcquire, Some(1), "lock_a", 800);
     push(1, SyncOp::LockRelease, Some(1), "lock_a", 900);
     push(1, SyncOp::LockRelease, Some(2), "lock_b", 1000);
-    let dir = std::env::temp_dir().join("sgxperf-cli-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("{tag}.evdb"));
-    trace.save(&path).unwrap();
+    let path = ScratchFile::new(&format!("{tag}.evdb"));
+    trace.save(&*path).unwrap();
     path
 }
 
@@ -564,13 +585,13 @@ fn info_lists_sections_with_rows_and_bytes() {
     assert!(ecalls.contains("64 rows"), "{ecalls}");
 }
 
-/// Writes a campaign spec to a temp file; returns (spec path, out dir).
-fn write_spec(tag: &str, body: &str) -> (std::path::PathBuf, std::path::PathBuf) {
-    let dir = std::env::temp_dir().join("sgxperf-cli-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let spec = dir.join(format!("{tag}.toml"));
-    std::fs::write(&spec, body).unwrap();
-    (spec, dir.join(format!("{tag}-out")))
+/// Writes a campaign spec to a scratch file; returns (spec file, out dir
+/// beside it).
+fn write_spec(tag: &str, body: &str) -> (ScratchFile, PathBuf) {
+    let spec = ScratchFile::new(&format!("{tag}.toml"));
+    std::fs::write(&*spec, body).unwrap();
+    let out = spec.with_file_name(format!("{tag}-out"));
+    (spec, out)
 }
 
 const NEUTRAL_SPEC: &str = "[campaign]\nname = \"cli\"\nthreshold = 25\n\

@@ -10,7 +10,7 @@
 use crate::events::{CallKind, CallRef};
 
 use super::parents::Instances;
-use super::{symbol_name, Analyzer};
+use super::{Analyzer, SymbolIndex};
 
 /// Duration impact of AEXs on one ecall: compares instances that took
 /// AEXs against undisturbed ones.
@@ -81,6 +81,7 @@ pub fn aex_impact(analyzer: &Analyzer<'_>, instances: &Instances) -> Vec<AexImpa
             acc.undisturbed.push(i.duration_ns);
         }
     }
+    let symbols = SymbolIndex::build(analyzer.trace());
     let mut out: Vec<AexImpact> = groups
         .into_iter()
         .filter(|(_, acc)| !acc.interrupted.is_empty() && !acc.undisturbed.is_empty())
@@ -88,7 +89,7 @@ pub fn aex_impact(analyzer: &Analyzer<'_>, instances: &Instances) -> Vec<AexImpa
             let mean = |v: &[u64]| v.iter().sum::<u64>() as f64 / v.len() as f64;
             AexImpact {
                 call,
-                name: symbol_name(analyzer.trace(), call),
+                name: symbols.name(call),
                 interrupted: acc.interrupted.len(),
                 undisturbed: acc.undisturbed.len(),
                 mean_interrupted_ns: mean(&acc.interrupted),

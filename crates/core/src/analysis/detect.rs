@@ -6,9 +6,7 @@ use std::fmt;
 
 use crate::events::{CallKind, CallRef};
 
-use super::parents::Instances;
-use super::stats::CallStats;
-use super::{symbol_name, Analyzer};
+use super::{Analyzer, Snapshot};
 
 /// The problem classes of Table 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -236,17 +234,13 @@ const PRIO_MOVE_OUT: Priority = 4;
 pub(crate) const PRIO_SECURITY: Priority = 5;
 
 /// Runs all performance detectors.
-pub fn detect_all(
-    analyzer: &Analyzer<'_>,
-    instances: &Instances,
-    call_stats: &[(CallRef, CallStats)],
-) -> Vec<Detection> {
+pub fn detect_all(analyzer: &Analyzer<'_>, snapshot: &Snapshot<'_>) -> Vec<Detection> {
     let mut out = Vec::new();
-    out.extend(detect_move_duplicate(analyzer, call_stats, instances));
-    out.extend(detect_switchless(analyzer, call_stats));
-    out.extend(detect_reorder(analyzer, instances));
-    out.extend(detect_merge_batch(analyzer, instances));
-    out.extend(detect_ssc(analyzer, instances));
+    out.extend(detect_move_duplicate(analyzer, snapshot));
+    out.extend(detect_switchless(analyzer, snapshot));
+    out.extend(detect_reorder(analyzer, snapshot));
+    out.extend(detect_merge_batch(analyzer, snapshot));
+    out.extend(detect_ssc(analyzer, snapshot));
     out.extend(detect_paging(analyzer));
     out.extend(detect_recovery(analyzer));
     out.extend(detect_concurrency(analyzer));
@@ -257,14 +251,11 @@ pub fn detect_all(
 /// times. For ecalls the mitigation is moving the caller across the
 /// boundary (SISC/SDSC family); for nested ocalls it is duplicating the
 /// functionality inside the enclave (SNC family).
-fn detect_move_duplicate(
-    analyzer: &Analyzer<'_>,
-    call_stats: &[(CallRef, CallStats)],
-    instances: &Instances,
-) -> Vec<Detection> {
+fn detect_move_duplicate(analyzer: &Analyzer<'_>, snapshot: &Snapshot<'_>) -> Vec<Detection> {
     let w = analyzer.weights();
+    let instances = &snapshot.instances;
     let mut out = Vec::new();
-    for (call, stats) in call_stats {
+    for (call, stats) in &snapshot.call_stats {
         if stats.count < w.min_calls {
             continue;
         }
@@ -281,7 +272,7 @@ fn detect_move_duplicate(
             stats.frac_under_5us * 100.0,
             stats.frac_under_10us * 100.0,
         );
-        let name = symbol_name(analyzer.trace(), *call);
+        let name = snapshot.name(*call);
         // Identical-successor ratio decides SISC vs SDSC for ecalls.
         let self_parent = instances
             .of_call(*call)
@@ -338,14 +329,11 @@ fn detect_move_duplicate(
 /// shared ring (`transition_using_threads`) pays off. Unlike moving or
 /// duplicating code this is a pure configuration change — no TCB growth,
 /// no security evaluation — so it shares the batching priority tier.
-fn detect_switchless(
-    analyzer: &Analyzer<'_>,
-    call_stats: &[(CallRef, CallStats)],
-) -> Vec<Detection> {
+fn detect_switchless(analyzer: &Analyzer<'_>, snapshot: &Snapshot<'_>) -> Vec<Detection> {
     let w = analyzer.weights();
     let cost = analyzer.cost_model();
     let mut out = Vec::new();
-    for (call, stats) in call_stats {
+    for (call, stats) in &snapshot.call_stats {
         if stats.count < w.switchless_min_calls {
             continue;
         }
@@ -359,7 +347,7 @@ fn detect_switchless(
         let total = sim_core::Nanos::from_nanos(saving.as_nanos() * stats.count as u64);
         out.push(Detection {
             target: *call,
-            name: symbol_name(analyzer.trace(), *call),
+            name: snapshot.name(*call),
             problem: if call.kind == CallKind::Ecall {
                 Problem::Sdsc
             } else {
@@ -382,9 +370,10 @@ fn detect_switchless(
 
 /// Equation 2: reordering opportunities — nested calls clustered at the
 /// start or end of their direct parent.
-fn detect_reorder(analyzer: &Analyzer<'_>, instances: &Instances) -> Vec<Detection> {
+fn detect_reorder(analyzer: &Analyzer<'_>, snapshot: &Snapshot<'_>) -> Vec<Detection> {
     let w = analyzer.weights();
-    // Group nested instances by child call.
+    let instances = &snapshot.instances;
+    // The nested instances of one child call.
     #[derive(Default)]
     struct Acc {
         total: usize,
@@ -393,32 +382,31 @@ fn detect_reorder(analyzer: &Analyzer<'_>, instances: &Instances) -> Vec<Detecti
         end_10: usize,
         end_20: usize,
     }
-    let mut groups: BTreeMap<CallRef, Acc> = BTreeMap::new();
-    for i in &instances.all {
-        let Some((pkind, prow)) = i.direct_parent else {
-            continue;
-        };
-        let Some(parent) = instances.by_row(pkind, prow) else {
-            continue;
-        };
-        let acc = groups.entry(i.call).or_default();
-        acc.total += 1;
-        let from_start = i.start_ns.saturating_sub(parent.start_ns);
-        let to_end = parent.end_ns.saturating_sub(i.end_ns);
-        if from_start < 10_000 {
-            acc.start_10 += 1;
-        } else if from_start < 20_000 {
-            acc.start_20 += 1;
-        }
-        if to_end < 10_000 {
-            acc.end_10 += 1;
-        } else if to_end < 20_000 {
-            acc.end_20 += 1;
-        }
-    }
     let mut out = Vec::new();
-    for (call, acc) in groups {
-        if acc.total < w.min_calls {
+    for (call, insts) in instances.per_call() {
+        let mut acc = Acc::default();
+        for i in insts {
+            let Some((pkind, prow)) = i.direct_parent else {
+                continue;
+            };
+            let Some(parent) = instances.by_row(pkind, prow) else {
+                continue;
+            };
+            acc.total += 1;
+            let from_start = i.start_ns.saturating_sub(parent.start_ns);
+            let to_end = parent.end_ns.saturating_sub(i.end_ns);
+            if from_start < 10_000 {
+                acc.start_10 += 1;
+            } else if from_start < 20_000 {
+                acc.start_20 += 1;
+            }
+            if to_end < 10_000 {
+                acc.end_10 += 1;
+            } else if to_end < 20_000 {
+                acc.end_20 += 1;
+            }
+        }
+        if acc.total == 0 || acc.total < w.min_calls {
             continue;
         }
         let total = acc.total as f64;
@@ -426,7 +414,7 @@ fn detect_reorder(analyzer: &Analyzer<'_>, instances: &Instances) -> Vec<Detecti
             + acc.start_20 as f64 / total * w.reorder_beta;
         let score_end = acc.end_10 as f64 / total * w.reorder_alpha
             + acc.end_20 as f64 / total * w.reorder_beta;
-        let name = symbol_name(analyzer.trace(), call);
+        let name = snapshot.name(call);
         if score_start >= w.reorder_gamma {
             out.push(Detection {
                 target: call,
@@ -459,8 +447,9 @@ fn detect_reorder(analyzer: &Analyzer<'_>, instances: &Instances) -> Vec<Detecti
 
 /// Equation 3: merging/batching opportunities from indirect-parent gaps.
 /// Batching is the special case where the call is its own indirect parent.
-fn detect_merge_batch(analyzer: &Analyzer<'_>, instances: &Instances) -> Vec<Detection> {
+fn detect_merge_batch(analyzer: &Analyzer<'_>, snapshot: &Snapshot<'_>) -> Vec<Detection> {
     let w = analyzer.weights();
+    let instances = &snapshot.instances;
     #[derive(Default)]
     struct Acc {
         pairs: usize,
@@ -469,67 +458,67 @@ fn detect_merge_batch(analyzer: &Analyzer<'_>, instances: &Instances) -> Vec<Det
         gap_10: usize,
         gap_20: usize,
     }
-    let mut pair_stats: BTreeMap<(CallRef, CallRef), Acc> = BTreeMap::new();
-    let mut call_counts: BTreeMap<CallRef, usize> = BTreeMap::new();
-    for i in &instances.all {
-        *call_counts.entry(i.call).or_default() += 1;
-        let Some(p) = i.indirect_parent else { continue };
-        let parent = &instances.all[p];
-        let acc = pair_stats.entry((i.call, parent.call)).or_default();
-        acc.pairs += 1;
-        let gap = i.start_ns.saturating_sub(parent.end_ns);
-        if gap < 1_000 {
-            acc.gap_1 += 1;
-        } else if gap < 5_000 {
-            acc.gap_5 += 1;
-        } else if gap < 10_000 {
-            acc.gap_10 += 1;
-        } else if gap < 20_000 {
-            acc.gap_20 += 1;
-        }
-    }
     let mut out = Vec::new();
-    for ((child, parent), acc) in pair_stats {
-        let child_total = call_counts[&child];
+    for (child, insts) in instances.per_call() {
+        let child_total = snapshot.count(child);
         if child_total < w.min_calls {
             continue;
         }
-        // λ: the parent must be this call's indirect parent often enough.
-        if (acc.pairs as f64) < w.merge_lambda * child_total as f64 {
-            continue;
+        let mut by_parent: BTreeMap<CallRef, Acc> = BTreeMap::new();
+        for i in insts {
+            let Some(p) = i.indirect_parent else { continue };
+            let parent = &instances.all[p];
+            let acc = by_parent.entry(parent.call).or_default();
+            acc.pairs += 1;
+            let gap = i.start_ns.saturating_sub(parent.end_ns);
+            if gap < 1_000 {
+                acc.gap_1 += 1;
+            } else if gap < 5_000 {
+                acc.gap_5 += 1;
+            } else if gap < 10_000 {
+                acc.gap_10 += 1;
+            } else if gap < 20_000 {
+                acc.gap_20 += 1;
+            }
         }
-        let pairs = acc.pairs as f64;
-        let score = acc.gap_1 as f64 / pairs * w.merge_alpha
-            + acc.gap_5 as f64 / pairs * w.merge_beta
-            + acc.gap_10 as f64 / pairs * w.merge_gamma
-            + acc.gap_20 as f64 / pairs * w.merge_delta;
-        if score < w.merge_epsilon {
-            continue;
-        }
-        let child_name = symbol_name(analyzer.trace(), child);
-        let parent_name = symbol_name(analyzer.trace(), parent);
-        let evidence = format!(
-            "{} of {} executions follow `{}` closely (gap score {:.2})",
-            acc.pairs, child_total, parent_name, score
-        );
-        if child == parent {
-            out.push(Detection {
-                target: child,
-                name: child_name,
-                problem: Problem::Sisc,
-                recommendation: Recommendation::BatchCalls { with: parent_name },
-                evidence,
-                priority: PRIO_BATCH_MERGE,
-            });
-        } else {
-            out.push(Detection {
-                target: child,
-                name: child_name,
-                problem: Problem::Sdsc,
-                recommendation: Recommendation::MergeCalls { with: parent_name },
-                evidence,
-                priority: PRIO_BATCH_MERGE,
-            });
+        for (parent, acc) in by_parent {
+            // λ: the parent must be this call's indirect parent often enough.
+            if (acc.pairs as f64) < w.merge_lambda * child_total as f64 {
+                continue;
+            }
+            let pairs = acc.pairs as f64;
+            let score = acc.gap_1 as f64 / pairs * w.merge_alpha
+                + acc.gap_5 as f64 / pairs * w.merge_beta
+                + acc.gap_10 as f64 / pairs * w.merge_gamma
+                + acc.gap_20 as f64 / pairs * w.merge_delta;
+            if score < w.merge_epsilon {
+                continue;
+            }
+            let child_name = snapshot.name(child);
+            let parent_name = snapshot.name(parent);
+            let evidence = format!(
+                "{} of {} executions follow `{}` closely (gap score {:.2})",
+                acc.pairs, child_total, parent_name, score
+            );
+            if child == parent {
+                out.push(Detection {
+                    target: child,
+                    name: child_name,
+                    problem: Problem::Sisc,
+                    recommendation: Recommendation::BatchCalls { with: parent_name },
+                    evidence,
+                    priority: PRIO_BATCH_MERGE,
+                });
+            } else {
+                out.push(Detection {
+                    target: child,
+                    name: child_name,
+                    problem: Problem::Sdsc,
+                    recommendation: Recommendation::MergeCalls { with: parent_name },
+                    evidence,
+                    priority: PRIO_BATCH_MERGE,
+                });
+            }
         }
     }
     out
@@ -537,7 +526,7 @@ fn detect_merge_batch(analyzer: &Analyzer<'_>, instances: &Instances) -> Vec<Det
 
 /// §3.4: short synchronisation calls — sleeps that are so short that the
 /// transitions dominate; recommend hybrid locks.
-fn detect_ssc(analyzer: &Analyzer<'_>, instances: &Instances) -> Vec<Detection> {
+fn detect_ssc(analyzer: &Analyzer<'_>, snapshot: &Snapshot<'_>) -> Vec<Detection> {
     let w = analyzer.weights();
     let trace = analyzer.trace();
     let mut sleeps_per_ocall: BTreeMap<CallRef, (usize, usize)> = BTreeMap::new();
@@ -553,7 +542,8 @@ fn detect_ssc(analyzer: &Analyzer<'_>, instances: &Instances) -> Vec<Detection> 
             kind: CallKind::Ocall,
             index: row.call_index,
         };
-        let duration = instances
+        let duration = snapshot
+            .instances
             .by_row(CallKind::Ocall, s.ocall_row)
             .map(|i| i.duration_ns)
             .unwrap_or(0);
@@ -573,7 +563,7 @@ fn detect_ssc(analyzer: &Analyzer<'_>, instances: &Instances) -> Vec<Detection> 
         }
         out.push(Detection {
             target: call,
-            name: symbol_name(trace, call),
+            name: snapshot.name(call),
             problem: Problem::Ssc,
             recommendation: Recommendation::HybridSynchronisation,
             evidence: format!(
@@ -762,11 +752,7 @@ mod tests {
             t += 5_200;
         }
         let a = analyzer(&trace);
-        let report_detections = detect_all(
-            &a,
-            &a.instances(),
-            &super::super::stats::per_call_stats(&a.instances()),
-        );
+        let report_detections = detect_all(&a, &a.snapshot());
         let batch = report_detections
             .iter()
             .find(|d| matches!(d.recommendation, Recommendation::BatchCalls { .. }));
@@ -823,8 +809,7 @@ mod tests {
             t += 1_000;
         }
         let a = analyzer(&trace);
-        let inst = a.instances();
-        let detections = detect_merge_batch(&a, &inst);
+        let detections = detect_merge_batch(&a, &a.snapshot());
         let merge = detections
             .iter()
             .find(|d| matches!(&d.recommendation, Recommendation::MergeCalls { with } if with == "ocall_lseek"));
@@ -864,7 +849,7 @@ mod tests {
             t += 110_000;
         }
         let a = analyzer(&trace);
-        let detections = detect_reorder(&a, &a.instances());
+        let detections = detect_reorder(&a, &a.snapshot());
         assert!(
             detections
                 .iter()
@@ -897,8 +882,7 @@ mod tests {
             t += 5_200;
         }
         let a = analyzer(&trace);
-        let detections =
-            detect_switchless(&a, &super::super::stats::per_call_stats(&a.instances()));
+        let detections = detect_switchless(&a, &a.snapshot());
         assert_eq!(detections.len(), 1, "{detections:?}");
         let d = &detections[0];
         assert_eq!(d.recommendation, Recommendation::UseSwitchless);
@@ -928,8 +912,7 @@ mod tests {
             t += 5_200;
         }
         let a = analyzer(&trace);
-        let detections =
-            detect_switchless(&a, &super::super::stats::per_call_stats(&a.instances()));
+        let detections = detect_switchless(&a, &a.snapshot());
         assert!(detections.is_empty(), "{detections:?}");
     }
 
@@ -953,9 +936,7 @@ mod tests {
             t += 600_000;
         }
         let a = analyzer(&trace);
-        let inst = a.instances();
-        let stats = super::super::stats::per_call_stats(&inst);
-        let detections = detect_all(&a, &inst, &stats);
+        let detections = detect_all(&a, &a.snapshot());
         assert!(detections.is_empty(), "{detections:?}");
     }
 
@@ -990,7 +971,7 @@ mod tests {
             t += 10_000 + i;
         }
         let a = analyzer(&trace);
-        let detections = detect_ssc(&a, &a.instances());
+        let detections = detect_ssc(&a, &a.snapshot());
         assert_eq!(detections.len(), 1, "{detections:?}");
         assert_eq!(detections[0].problem, Problem::Ssc);
         assert_eq!(
@@ -1115,8 +1096,6 @@ mod tests {
             });
         }
         let a = analyzer(&trace);
-        let inst = a.instances();
-        let stats = super::super::stats::per_call_stats(&inst);
-        assert!(detect_all(&a, &inst, &stats).is_empty());
+        assert!(detect_all(&a, &a.snapshot()).is_empty());
     }
 }

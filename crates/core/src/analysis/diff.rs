@@ -27,17 +27,19 @@
 //! assert_eq!(diff.exit_code(), 0);
 //! ```
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
 
 use sim_core::stats::nearest_rank;
 use sim_core::Nanos;
 
-use crate::events::CallKind;
+use crate::events::{CallKind, CallRef};
 use crate::json;
 use crate::trace::TraceDb;
 
-use super::symbol_name;
+use super::parents::CallIds;
+use super::SymbolIndex;
 
 /// Exit status a CI gate maps a regression verdict to (`sgxperf diff`).
 pub const REGRESSION_EXIT_CODE: u8 = 3;
@@ -343,34 +345,54 @@ fn recovery_windows(trace: &TraceDb) -> Vec<(u64, u64)> {
 /// same name in different enclaves merge — the alignment unit is the
 /// call *site* as a developer names it, which is what survives across
 /// two separate runs (enclave ids need not).
+///
+/// Rows are grouped by call first and each distinct call is named once.
+/// The order of rows inside a group does not show in the diff: means are
+/// integer sums, percentiles sort and windows are only counted.
 fn per_name(trace: &TraceDb) -> BTreeMap<(CallKind, String), SideStats> {
-    let mut grouped: BTreeMap<(CallKind, String), SideStats> = BTreeMap::new();
+    let mut ids = CallIds::default();
+    let mut by_call: Vec<SideStats> = Vec::new();
+    let mut add = |call: CallRef, start_ns: u64, end_ns: u64, aex: u64| {
+        let id = ids.id(call);
+        if id == by_call.len() {
+            by_call.push(SideStats::default());
+        }
+        let side = &mut by_call[id];
+        side.durations.push(end_ns.saturating_sub(start_ns));
+        side.aex_total += aex;
+        side.windows.push((start_ns, end_ns));
+    };
     for e in trace.ecalls.iter() {
-        let name = symbol_name(
-            trace,
-            crate::events::CallRef {
-                enclave: e.enclave,
-                kind: CallKind::Ecall,
-                index: e.call_index,
-            },
-        );
-        let entry = grouped.entry((CallKind::Ecall, name)).or_default();
-        entry.durations.push(e.end_ns.saturating_sub(e.start_ns));
-        entry.aex_total += e.aex_count;
-        entry.windows.push((e.start_ns, e.end_ns));
+        let call = CallRef {
+            enclave: e.enclave,
+            kind: CallKind::Ecall,
+            index: e.call_index,
+        };
+        add(call, e.start_ns, e.end_ns, e.aex_count);
     }
     for o in trace.ocalls.iter() {
-        let name = symbol_name(
-            trace,
-            crate::events::CallRef {
-                enclave: o.enclave,
-                kind: CallKind::Ocall,
-                index: o.call_index,
-            },
-        );
-        let entry = grouped.entry((CallKind::Ocall, name)).or_default();
-        entry.durations.push(o.end_ns.saturating_sub(o.start_ns));
-        entry.windows.push((o.start_ns, o.end_ns));
+        let call = CallRef {
+            enclave: o.enclave,
+            kind: CallKind::Ocall,
+            index: o.call_index,
+        };
+        add(call, o.start_ns, o.end_ns, 0);
+    }
+
+    let symbols = SymbolIndex::build(trace);
+    let mut grouped: BTreeMap<(CallKind, String), SideStats> = BTreeMap::new();
+    for (call, side) in ids.calls.into_iter().zip(by_call) {
+        match grouped.entry((call.kind, symbols.name(call))) {
+            Entry::Vacant(slot) => {
+                slot.insert(side);
+            }
+            Entry::Occupied(slot) => {
+                let group = slot.into_mut();
+                group.durations.extend(side.durations);
+                group.aex_total += side.aex_total;
+                group.windows.extend(side.windows);
+            }
+        }
     }
     grouped
 }

@@ -8,7 +8,7 @@ use crate::events::{CallKind, CallRef};
 use crate::trace::TraceDb;
 
 use super::parents::Instances;
-use super::symbol_name;
+use super::SymbolIndex;
 
 /// One node of the call graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -47,6 +47,7 @@ pub struct CallGraph {
 impl CallGraph {
     /// Builds the graph from the instance view.
     pub fn build(trace: &TraceDb, instances: &Instances) -> CallGraph {
+        let symbols = SymbolIndex::build(trace);
         let mut counts: BTreeMap<CallRef, usize> = BTreeMap::new();
         let mut direct: BTreeMap<(CallRef, CallRef), usize> = BTreeMap::new();
         let mut indirect: BTreeMap<(CallRef, CallRef), usize> = BTreeMap::new();
@@ -66,7 +67,7 @@ impl CallGraph {
             .into_iter()
             .map(|(call, count)| GraphNode {
                 call,
-                name: symbol_name(trace, call),
+                name: symbols.name(call),
                 count,
             })
             .collect();

@@ -17,6 +17,7 @@ use std::collections::HashMap;
 use sgx_edl::ast::EdlFile;
 use sgx_edl::lint::{codes, lint_file, Diagnostic, LintConfig, Severity};
 
+use crate::events::{CallKind, CallRef};
 use crate::trace::TraceDb;
 
 /// Lints a parsed EDL interface, cross-checking against `trace` when one
@@ -36,21 +37,26 @@ pub fn lint_interface(
 
 /// Number of recorded executions per symbol name (ecalls and ocalls).
 fn execution_counts(trace: &TraceDb) -> HashMap<String, usize> {
+    let mut per_call: HashMap<CallRef, usize> = HashMap::new();
+    for e in trace.ecalls.iter() {
+        let call = CallRef {
+            enclave: e.enclave,
+            kind: CallKind::Ecall,
+            index: e.call_index,
+        };
+        *per_call.entry(call).or_default() += 1;
+    }
+    for o in trace.ocalls.iter() {
+        let call = CallRef {
+            enclave: o.enclave,
+            kind: CallKind::Ocall,
+            index: o.call_index,
+        };
+        *per_call.entry(call).or_default() += 1;
+    }
     let mut counts: HashMap<String, usize> = HashMap::new();
     for sym in trace.symbols.iter() {
-        let n = if sym.kind_is_ecall {
-            trace
-                .ecalls
-                .iter()
-                .filter(|r| r.enclave == sym.enclave && r.call_index == sym.index)
-                .count()
-        } else {
-            trace
-                .ocalls
-                .iter()
-                .filter(|r| r.enclave == sym.enclave && r.call_index == sym.index)
-                .count()
-        };
+        let n = per_call.get(&sym.call_ref()).copied().unwrap_or(0);
         *counts.entry(sym.name.clone()).or_default() += n;
     }
     counts

@@ -19,6 +19,8 @@ pub mod report;
 pub mod security;
 pub mod stats;
 
+use std::collections::HashMap;
+
 use sim_core::CostModel;
 
 use crate::events::CallRef;
@@ -172,14 +174,30 @@ impl<'t> Analyzer<'t> {
         Instances::build(self.trace, &self.cost)
     }
 
-    /// Runs the full analysis: statistics, detections, security findings.
-    pub fn analyze(&self) -> Report {
+    /// Builds the indexes every analysis pass reads: the instance view,
+    /// the per-call statistics and the symbol names.
+    pub fn snapshot(&self) -> Snapshot<'t> {
         let instances = self.instances();
         let call_stats = stats::per_call_stats(&instances);
-        let mut detections = detect::detect_all(self, &instances, &call_stats);
-        detections.extend(security::analyze(self, &instances));
+        Snapshot {
+            instances,
+            call_stats,
+            symbols: SymbolIndex::build(self.trace),
+        }
+    }
+
+    /// Runs the full analysis: statistics, detections, security findings.
+    pub fn analyze(&self) -> Report {
+        let snapshot = self.snapshot();
+        let mut detections = detect::detect_all(self, &snapshot);
+        detections.extend(security::analyze(self, &snapshot));
         detections.sort_by_key(|d| (d.priority, d.target));
-        let mut report = Report::assemble(self.trace, call_stats, detections);
+        let mut report = Report::assemble(
+            self.trace,
+            &snapshot.symbols,
+            snapshot.call_stats,
+            detections,
+        );
         report.lint = self.lint.clone();
         report
     }
@@ -208,13 +226,105 @@ impl<'t> Analyzer<'t> {
     }
 }
 
-/// Looks up the recorded symbol name for a call, falling back to a
-/// positional name.
-pub(crate) fn symbol_name(trace: &TraceDb, call: CallRef) -> String {
-    trace
-        .symbols
-        .iter()
-        .find(|s| s.call_ref() == call)
-        .map(|s| s.name.clone())
-        .unwrap_or_else(|| call.to_string())
+/// The indexes of one trace, built once by [`Analyzer::snapshot`] and
+/// read by every detector.
+#[derive(Debug)]
+pub struct Snapshot<'t> {
+    /// The parent-annotated call-instance view.
+    instances: Instances,
+    /// Per-call statistics of `instances`, sorted by call.
+    call_stats: Vec<(CallRef, CallStats)>,
+    symbols: SymbolIndex<'t>,
+}
+
+impl Snapshot<'_> {
+    /// The recorded symbol name of a call, or its positional name.
+    pub fn name(&self, call: CallRef) -> String {
+        self.symbols.name(call)
+    }
+
+    /// How many times a call executed.
+    pub fn count(&self, call: CallRef) -> usize {
+        self.call_stats
+            .binary_search_by_key(&call, |(c, _)| *c)
+            .map_or(0, |i| self.call_stats[i].1.count)
+    }
+}
+
+/// The recorded symbol name of each call. When a call has several symbol
+/// rows (a fleet rebuild records its interface again) the first wins.
+#[derive(Debug)]
+pub(crate) struct SymbolIndex<'t> {
+    names: HashMap<CallRef, &'t str>,
+}
+
+impl<'t> SymbolIndex<'t> {
+    pub(crate) fn build(trace: &'t TraceDb) -> SymbolIndex<'t> {
+        let mut names = HashMap::with_capacity(trace.symbols.len());
+        for s in trace.symbols.iter() {
+            names.entry(s.call_ref()).or_insert(s.name.as_str());
+        }
+        SymbolIndex { names }
+    }
+
+    /// The recorded name, falling back to the positional name.
+    pub(crate) fn name(&self, call: CallRef) -> String {
+        self.names
+            .get(&call)
+            .map_or_else(|| call.to_string(), |name| (*name).to_owned())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::events::{CallKind, SymbolRow};
+
+    fn symbol(trace: &mut TraceDb, index: u32, name: &str) {
+        trace.symbols.insert(SymbolRow {
+            enclave: 1,
+            kind_is_ecall: true,
+            index,
+            name: name.into(),
+            public: true,
+            allowed_ecalls: vec![],
+            user_check_params: vec![],
+        });
+    }
+
+    fn ecall(index: u32) -> CallRef {
+        CallRef {
+            enclave: 1,
+            kind: CallKind::Ecall,
+            index,
+        }
+    }
+
+    /// A call recorded twice (a fleet rebuild repeats its interface)
+    /// keeps the name of its first symbol row.
+    #[test]
+    fn duplicate_symbol_rows_resolve_to_the_first() {
+        let mut trace = TraceDb::default();
+        symbol(&mut trace, 0, "ecall_first");
+        symbol(&mut trace, 1, "ecall_other");
+        symbol(&mut trace, 0, "ecall_again");
+        let symbols = SymbolIndex::build(&trace);
+        assert_eq!(symbols.name(ecall(0)), "ecall_first");
+        assert_eq!(symbols.name(ecall(1)), "ecall_other");
+    }
+
+    /// A call with no symbol row gets its positional name.
+    #[test]
+    fn missing_symbol_gives_the_positional_name() {
+        let mut trace = TraceDb::default();
+        symbol(&mut trace, 0, "ecall_known");
+        let symbols = SymbolIndex::build(&trace);
+        assert_eq!(symbols.name(ecall(7)), "enclave1/ecall#7");
+        assert_eq!(symbols.name(ecall(7)), ecall(7).to_string());
+        let ocall = CallRef {
+            kind: CallKind::Ocall,
+            ..ecall(0)
+        };
+        assert_eq!(symbols.name(ocall), ocall.to_string());
+    }
 }

@@ -7,6 +7,10 @@
 //! previous completed call **of the same kind** that belongs to the **same
 //! direct parent** (or, for top-level calls, the previous top-level call of
 //! the same kind on the same thread).
+//!
+//! The view is indexed once, when it is built: by source row (for parent
+//! lookups) and by call (for per-call statistics and detectors), so no
+//! lookup scans the instance list.
 
 use std::collections::HashMap;
 
@@ -46,13 +50,18 @@ pub struct CallInstance {
 pub struct Instances {
     /// All instances, ordered by start time.
     pub all: Vec<CallInstance>,
-    /// Maps (kind, row) to the index in [`Instances::all`].
-    index: HashMap<(CallKind, u64), usize>,
+    /// Position in [`Instances::all`] of each ecall row, by row id.
+    ecall_pos: Vec<usize>,
+    /// Position in [`Instances::all`] of each ocall row, by row id.
+    ocall_pos: Vec<usize>,
+    /// Every distinct call, sorted, with the positions of its instances
+    /// in start order.
+    calls: Vec<(CallRef, Vec<usize>)>,
 }
 
 impl Instances {
     /// Builds the view: merges the ecall and ocall tables, sorts by start
-    /// time and resolves indirect parents.
+    /// time, indexes it by row and by call and resolves indirect parents.
     pub fn build(trace: &TraceDb, cost: &CostModel) -> Instances {
         let transition = cost.sdk_ecall_overhead().as_nanos();
         let mut all: Vec<CallInstance> = Vec::with_capacity(trace.event_count());
@@ -94,45 +103,138 @@ impl Instances {
                 aex_count: 0,
             });
         }
+        // Each table is usually already in start order, and the stable sort
+        // merges such runs in linear time. (kind, row) is unique, so any
+        // sort gives this order.
         all.sort_by_key(|i| (i.start_ns, i.call.kind, i.row));
 
-        let index: HashMap<(CallKind, u64), usize> = all
-            .iter()
-            .enumerate()
-            .map(|(idx, i)| ((i.call.kind, i.row), idx))
-            .collect();
-
-        // Indirect parents: within each (thread, direct-parent, kind)
-        // group, link each call to the previous one (Figure 4).
-        type GroupKey = (u64, Option<(CallKind, u64)>, CallKind);
-        let mut last_in_group: HashMap<GroupKey, usize> = HashMap::new();
-        for (idx, inst) in all.iter_mut().enumerate() {
-            let key = (inst.thread, inst.direct_parent, inst.call.kind);
-            if let Some(&prev) = last_in_group.get(&key) {
-                inst.indirect_parent = Some(prev);
+        let mut ecall_pos = vec![0; trace.ecalls.len()];
+        let mut ocall_pos = vec![0; trace.ocalls.len()];
+        let mut ids = CallIds::default();
+        let mut groups: Vec<Vec<usize>> = Vec::new();
+        for (pos, i) in all.iter().enumerate() {
+            match i.call.kind {
+                CallKind::Ecall => ecall_pos[i.row as usize] = pos,
+                CallKind::Ocall => ocall_pos[i.row as usize] = pos,
             }
-            last_in_group.insert(key, idx);
+            let id = ids.id(i.call);
+            if id == groups.len() {
+                groups.push(Vec::new());
+            }
+            groups[id].push(pos);
         }
+        let mut calls: Vec<(CallRef, Vec<usize>)> = ids.calls.into_iter().zip(groups).collect();
+        calls.sort_unstable_by_key(|(call, _)| *call);
 
-        Instances { all, index }
+        let mut instances = Instances {
+            all,
+            ecall_pos,
+            ocall_pos,
+            calls,
+        };
+        instances.link_indirect_parents();
+        instances
+    }
+
+    /// Indirect parents: within each (thread, direct-parent, kind) group,
+    /// link each call to the previous one (Figure 4).
+    ///
+    /// Top-level calls go through a small map keyed by (thread, kind). A
+    /// parent's children all have the kind opposite to it, so a slot per
+    /// parent position holds the last child of the first thread seen under
+    /// that parent. Children on another thread (a switchless worker need
+    /// not run on its caller's thread) and children of a row missing from
+    /// the trace go through a second map.
+    fn link_indirect_parents(&mut self) {
+        let mut slots: Vec<Option<(u64, usize)>> = vec![None; self.all.len()];
+        let mut top_level: HashMap<(u64, CallKind), usize> = HashMap::new();
+        let mut others: HashMap<(u64, CallKind, u64), usize> = HashMap::new();
+        for idx in 0..self.all.len() {
+            let inst = &self.all[idx];
+            let prev = match inst.direct_parent {
+                None => top_level.insert((inst.thread, inst.call.kind), idx),
+                Some((kind, row)) => match self.position(kind, row).map(|p| &mut slots[p]) {
+                    Some(slot @ None) => {
+                        *slot = Some((inst.thread, idx));
+                        None
+                    }
+                    Some(Some((thread, last))) if *thread == inst.thread => {
+                        Some(std::mem::replace(last, idx))
+                    }
+                    _ => others.insert((inst.thread, kind, row), idx),
+                },
+            };
+            self.all[idx].indirect_parent = prev;
+        }
+    }
+
+    /// Position in [`Instances::all`] of a source (kind, row id), if the
+    /// row exists.
+    fn position(&self, kind: CallKind, row: u64) -> Option<usize> {
+        let table = match kind {
+            CallKind::Ecall => &self.ecall_pos,
+            CallKind::Ocall => &self.ocall_pos,
+        };
+        usize::try_from(row)
+            .ok()
+            .and_then(|r| table.get(r))
+            .copied()
     }
 
     /// Looks up an instance by its source (kind, row id).
     pub fn by_row(&self, kind: CallKind, row: u64) -> Option<&CallInstance> {
-        self.index.get(&(kind, row)).map(|&i| &self.all[i])
+        self.position(kind, row).map(|p| &self.all[p])
     }
 
     /// All instances of one call, in start order.
     pub fn of_call(&self, call: CallRef) -> impl Iterator<Item = &CallInstance> {
-        self.all.iter().filter(move |i| i.call == call)
+        let positions = match self.calls.binary_search_by_key(&call, |(c, _)| *c) {
+            Ok(i) => &self.calls[i].1[..],
+            Err(_) => &[],
+        };
+        positions.iter().map(|&p| &self.all[p])
+    }
+
+    /// Every distinct call, sorted, with its instances in start order.
+    pub fn per_call(
+        &self,
+    ) -> impl Iterator<Item = (CallRef, impl Iterator<Item = &CallInstance> + '_)> {
+        self.calls
+            .iter()
+            .map(|(call, positions)| (*call, positions.iter().map(|&p| &self.all[p])))
     }
 
     /// Distinct calls present in the trace, sorted.
     pub fn distinct_calls(&self) -> Vec<CallRef> {
-        let mut calls: Vec<CallRef> = self.all.iter().map(|i| i.call).collect();
-        calls.sort();
-        calls.dedup();
-        calls
+        self.calls.iter().map(|(call, _)| *call).collect()
+    }
+}
+
+/// Dense ids for calls, in first-seen order. A run of rows of the same
+/// call, common in loops, is looked up once.
+#[derive(Debug, Default)]
+pub(crate) struct CallIds {
+    ids: HashMap<CallRef, usize>,
+    /// The calls, by id.
+    pub(crate) calls: Vec<CallRef>,
+    last: Option<(CallRef, usize)>,
+}
+
+impl CallIds {
+    /// The id of `call`, assigning the next one if it is new.
+    pub(crate) fn id(&mut self, call: CallRef) -> usize {
+        if let Some((last, id)) = self.last {
+            if last == call {
+                return id;
+            }
+        }
+        let next = self.calls.len();
+        let id = *self.ids.entry(call).or_insert(next);
+        if id == next {
+            self.calls.push(call);
+        }
+        self.last = Some((call, id));
+        id
     }
 }
 
@@ -270,5 +372,27 @@ mod tests {
         let calls = inst.distinct_calls();
         assert_eq!(calls.len(), 2);
         assert!(calls[0].index < calls[1].index);
+    }
+
+    /// A parent row missing from the trace (or past any table's end) is
+    /// not an instance: `by_row` gives `None`, and the children still
+    /// chain as indirect parents of each other.
+    #[test]
+    fn dangling_parent_rows_resolve_to_none() {
+        let mut trace = TraceDb::default();
+        trace.ecalls.insert(ecall(0, 0, 0, 100, Some(5))); // ocall row 5: missing
+        trace.ocalls.insert(ocall(0, 0, 10, 20, Some(9))); // ecall row 9: missing
+        trace.ocalls.insert(ocall(0, 0, 30, 40, Some(9)));
+        let inst = build(&trace);
+        assert!(inst.by_row(CallKind::Ocall, 5).is_none());
+        assert!(inst.by_row(CallKind::Ecall, 9).is_none());
+        assert!(inst.by_row(CallKind::Ecall, u64::MAX).is_none());
+        let o1 = inst.by_row(CallKind::Ocall, 1).unwrap();
+        let o0_idx = inst
+            .all
+            .iter()
+            .position(|i| i.call.kind == CallKind::Ocall && i.row == 0)
+            .unwrap();
+        assert_eq!(o1.indirect_parent, Some(o0_idx));
     }
 }

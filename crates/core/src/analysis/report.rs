@@ -11,7 +11,7 @@ use crate::trace::TraceDb;
 use super::detect::Detection;
 use super::fleet::FleetReport;
 use super::stats::CallStats;
-use super::symbol_name;
+use super::SymbolIndex;
 
 /// Aggregate counters over a whole trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -97,12 +97,13 @@ pub struct Report {
 impl Report {
     pub(crate) fn assemble(
         trace: &TraceDb,
+        symbols: &SymbolIndex<'_>,
         call_stats: Vec<(CallRef, CallStats)>,
         detections: Vec<Detection>,
     ) -> Report {
         let call_names = call_stats
             .iter()
-            .map(|(call, _)| symbol_name(trace, *call))
+            .map(|(call, _)| symbols.name(*call))
             .collect();
         let totals = Totals {
             ecall_events: trace.ecalls.len(),

@@ -18,20 +18,20 @@ use std::collections::{BTreeMap, BTreeSet};
 use crate::events::{CallKind, CallRef};
 
 use super::detect::{Detection, Problem, Recommendation, PRIO_SECURITY};
-use super::parents::Instances;
-use super::{symbol_name, Analyzer};
+use super::{Analyzer, Snapshot};
 
 /// Runs the three security checks.
-pub fn analyze(analyzer: &Analyzer<'_>, instances: &Instances) -> Vec<Detection> {
+pub fn analyze(analyzer: &Analyzer<'_>, snapshot: &Snapshot<'_>) -> Vec<Detection> {
     let mut out = Vec::new();
-    out.extend(private_candidates(analyzer, instances));
-    out.extend(allow_list_minimisation(analyzer, instances));
+    out.extend(private_candidates(analyzer, snapshot));
+    out.extend(allow_list_minimisation(analyzer, snapshot));
     out.extend(user_check_review(analyzer));
     out
 }
 
-fn private_candidates(analyzer: &Analyzer<'_>, instances: &Instances) -> Vec<Detection> {
+fn private_candidates(analyzer: &Analyzer<'_>, snapshot: &Snapshot<'_>) -> Vec<Detection> {
     let trace = analyzer.trace();
+    let instances = &snapshot.instances;
     let mut out = Vec::new();
     for sym in trace.symbols.iter().filter(|s| s.kind_is_ecall && s.public) {
         let call = sym.call_ref();
@@ -52,10 +52,7 @@ fn private_candidates(analyzer: &Analyzer<'_>, instances: &Instances) -> Vec<Det
         if total == 0 || !all_nested {
             continue;
         }
-        let allow_from: Vec<String> = parent_ocalls
-            .iter()
-            .map(|&o| symbol_name(trace, o))
-            .collect();
+        let allow_from: Vec<String> = parent_ocalls.iter().map(|&o| snapshot.name(o)).collect();
         out.push(Detection {
             target: call,
             name: sym.name.clone(),
@@ -70,8 +67,9 @@ fn private_candidates(analyzer: &Analyzer<'_>, instances: &Instances) -> Vec<Det
     out
 }
 
-fn allow_list_minimisation(analyzer: &Analyzer<'_>, instances: &Instances) -> Vec<Detection> {
+fn allow_list_minimisation(analyzer: &Analyzer<'_>, snapshot: &Snapshot<'_>) -> Vec<Detection> {
     let trace = analyzer.trace();
+    let instances = &snapshot.instances;
     // Observed nested-ecall sets per ocall.
     let mut observed: BTreeMap<CallRef, BTreeSet<u32>> = BTreeMap::new();
     for i in &instances.all {
@@ -110,14 +108,11 @@ fn allow_list_minimisation(analyzer: &Analyzer<'_>, instances: &Instances) -> Ve
         let remove: Vec<String> = excess
             .iter()
             .map(|&i| {
-                symbol_name(
-                    trace,
-                    CallRef {
-                        enclave: call.enclave,
-                        kind: CallKind::Ecall,
-                        index: i,
-                    },
-                )
+                snapshot.name(CallRef {
+                    enclave: call.enclave,
+                    kind: CallKind::Ecall,
+                    index: i,
+                })
             })
             .collect();
         out.push(Detection {
@@ -224,7 +219,7 @@ mod tests {
             });
         }
         let a = Analyzer::new(&trace, HwProfile::Unpatched.cost_model());
-        let findings = analyze(&a, &a.instances());
+        let findings = analyze(&a, &a.snapshot());
         let private = findings
             .iter()
             .find(|d| matches!(&d.recommendation, Recommendation::MakePrivate { .. }))
@@ -269,7 +264,7 @@ mod tests {
             failed: false,
         });
         let a = Analyzer::new(&trace, HwProfile::Unpatched.cost_model());
-        let findings = analyze(&a, &a.instances());
+        let findings = analyze(&a, &a.snapshot());
         let restrict = findings
             .iter()
             .find(|d| {
@@ -300,7 +295,7 @@ mod tests {
             vec!["buf".into()],
         );
         let a = Analyzer::new(&trace, HwProfile::Unpatched.cost_model());
-        let findings = analyze(&a, &a.instances());
+        let findings = analyze(&a, &a.snapshot());
         assert!(findings.iter().any(|d| matches!(
             &d.recommendation,
             Recommendation::ReviewUserCheck { params } if params == &vec!["buf".to_string()]
@@ -322,6 +317,6 @@ mod tests {
             failed: false,
         });
         let a = Analyzer::new(&trace, HwProfile::Unpatched.cost_model());
-        assert!(analyze(&a, &a.instances()).is_empty());
+        assert!(analyze(&a, &a.snapshot()).is_empty());
     }
 }

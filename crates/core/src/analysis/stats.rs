@@ -1,8 +1,6 @@
 //! General per-call statistics (§4.3.1): counts, mean, median, standard
 //! deviation, 90th/95th/99th percentiles, histograms and scatter series.
 
-use std::collections::BTreeMap;
-
 use sim_core::stats::nearest_rank;
 
 use crate::events::CallRef;
@@ -90,17 +88,17 @@ impl CallStats {
 /// Computes [`CallStats`] for every distinct call in the trace, sorted by
 /// call reference.
 pub fn per_call_stats(instances: &Instances) -> Vec<(CallRef, CallStats)> {
-    type DurationGroups = BTreeMap<CallRef, (Vec<u64>, Vec<u64>, Vec<u64>)>;
-    let mut grouped: DurationGroups = BTreeMap::new();
-    for i in &instances.all {
-        let entry = grouped.entry(i.call).or_default();
-        entry.0.push(i.duration_ns);
-        entry.1.push(i.adjusted_ns);
-        entry.2.push(i.aex_count);
-    }
-    grouped
-        .into_iter()
-        .map(|(call, (dur, adj, aex))| (call, CallStats::from_durations(&dur, &adj, &aex)))
+    instances
+        .per_call()
+        .map(|(call, insts)| {
+            let (mut dur, mut adj, mut aex) = (Vec::new(), Vec::new(), Vec::new());
+            for i in insts {
+                dur.push(i.duration_ns);
+                adj.push(i.adjusted_ns);
+                aex.push(i.aex_count);
+            }
+            (call, CallStats::from_durations(&dur, &adj, &aex))
+        })
         .collect()
 }
 

@@ -34,8 +34,8 @@ use std::collections::BTreeMap;
 
 use sim_core::CostModel;
 
-use crate::analysis::{symbol_name, Instances};
-use crate::events::CallKind;
+use crate::analysis::{Instances, SymbolIndex};
+use crate::events::{CallKind, CallRef};
 use crate::json;
 use crate::trace::TraceDb;
 
@@ -81,6 +81,7 @@ fn thread_lanes(trace: &TraceDb) -> BTreeMap<u64, u64> {
 /// cost model frames the inner `[enclave]` span of each ecall.
 pub fn chrome_trace(trace: &TraceDb, cost: &CostModel) -> String {
     let lanes = thread_lanes(trace);
+    let symbols = SymbolIndex::build(trace);
     let overhead = cost.sdk_ecall_overhead().as_nanos();
     let mut ev: Vec<String> = Vec::new();
 
@@ -105,14 +106,11 @@ pub fn chrome_trace(trace: &TraceDb, cost: &CostModel) -> String {
     // span — the slice between the enter and exit transitions.
     for (row, e) in trace.ecalls.iter_with_ids() {
         let lane = lanes[&e.thread];
-        let name = symbol_name(
-            trace,
-            crate::events::CallRef {
-                enclave: e.enclave,
-                kind: CallKind::Ecall,
-                index: e.call_index,
-            },
-        );
+        let name = symbols.name(CallRef {
+            enclave: e.enclave,
+            kind: CallKind::Ecall,
+            index: e.call_index,
+        });
         let dur = e.end_ns.saturating_sub(e.start_ns);
         ev.push(format!(
             "{{\"name\": {}, \"cat\": \"ecall\", \"ph\": \"X\", \"pid\": 1, \"tid\": {lane}, \
@@ -140,14 +138,11 @@ pub fn chrome_trace(trace: &TraceDb, cost: &CostModel) -> String {
     }
     for (row, o) in trace.ocalls.iter_with_ids() {
         let lane = lanes[&o.thread];
-        let name = symbol_name(
-            trace,
-            crate::events::CallRef {
-                enclave: o.enclave,
-                kind: CallKind::Ocall,
-                index: o.call_index,
-            },
-        );
+        let name = symbols.name(CallRef {
+            enclave: o.enclave,
+            kind: CallKind::Ocall,
+            index: o.call_index,
+        });
         ev.push(format!(
             "{{\"name\": {}, \"cat\": \"ocall\", \"ph\": \"X\", \"pid\": 1, \"tid\": {lane}, \
              \"ts\": {}, \"dur\": {}, \
@@ -255,6 +250,7 @@ pub fn chrome_trace(trace: &TraceDb, cost: &CostModel) -> String {
 /// self-time nanoseconds. Lines are sorted for deterministic output.
 pub fn folded_stacks(trace: &TraceDb, cost: &CostModel) -> String {
     let instances = Instances::build(trace, cost);
+    let symbols = SymbolIndex::build(trace);
 
     // Self time: duration minus time spent in direct children.
     let mut child_time: BTreeMap<(CallKind, u64), u64> = BTreeMap::new();
@@ -267,12 +263,12 @@ pub fn folded_stacks(trace: &TraceDb, cost: &CostModel) -> String {
     let mut folded: BTreeMap<String, u64> = BTreeMap::new();
     for inst in &instances.all {
         // Stack: walk the direct-parent chain to the top-level call.
-        let mut frames = vec![symbol_name(trace, inst.call)];
+        let mut frames = vec![symbols.name(inst.call)];
         let mut cursor = inst.direct_parent;
         while let Some((kind, row)) = cursor {
             match instances.by_row(kind, row) {
                 Some(parent) => {
-                    frames.push(symbol_name(trace, parent.call));
+                    frames.push(symbols.name(parent.call));
                     cursor = parent.direct_parent;
                 }
                 None => break,

@@ -345,13 +345,11 @@ mod tests {
 
     #[test]
     fn file_roundtrip() {
-        let dir = std::env::temp_dir().join("sgx-perf-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = eventdb::ScratchDir::new("sgx-perf-test");
         let path = dir.join("trace.evdb");
         let trace = TraceDb::default();
         trace.save(&path).unwrap();
         let back = TraceDb::load(&path).unwrap();
         assert_eq!(back.event_count(), 0);
-        std::fs::remove_file(path).unwrap();
     }
 }

@@ -359,14 +359,12 @@ fn trace_roundtrips_through_file() {
             .unwrap();
     }
     let trace = logger.finish();
-    let dir = std::env::temp_dir().join("sgx-perf-e2e");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = eventdb::ScratchDir::new("sgx-perf-e2e");
     let path = dir.join("trace.evdb");
     trace.save(&path).unwrap();
     let back = sgx_perf::TraceDb::load(&path).unwrap();
     assert_eq!(back.ecalls.len(), 10);
     assert_eq!(back.symbols.len(), trace.symbols.len());
-    std::fs::remove_file(path).unwrap();
 }
 
 #[test]

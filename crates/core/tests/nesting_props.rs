@@ -1,11 +1,15 @@
-//! Property test: for arbitrary ecall/ocall nesting trees, the logger's
+//! Property tests: for arbitrary ecall/ocall nesting trees, the logger's
 //! parent links and timestamps are always well-formed — every nested
-//! call's recorded interval lies inside its direct parent's interval.
+//! call's recorded interval lies inside its direct parent's interval. And
+//! on arbitrary traces, the indexed lookups of the instance view agree
+//! with brute-force scans over it.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use sgx_perf::{Logger, LoggerConfig, TraceDb};
+use sgx_perf::analysis::{CallInstance, Instances};
+use sgx_perf::events::{EcallRow, OcallRow};
+use sgx_perf::{CallKind, CallRef, Logger, LoggerConfig, TraceDb};
 use sgx_sdk::{CallData, EcallCtx, HostCtx, OcallTableBuilder, Runtime, SdkResult, ThreadCtx};
 use sgx_sim::{EnclaveConfig, Machine};
 use sim_core::{Clock, HwProfile, Nanos};
@@ -144,6 +148,116 @@ proptest! {
         roots.sort_unstable();
         for w in roots.windows(2) {
             prop_assert!(w[0].1 <= w[1].0, "roots overlap: {roots:?}");
+        }
+    }
+}
+
+/// One random call row: (is ecall, thread, enclave, call index, start,
+/// duration, parent row). Parent rows may point past the other table's
+/// end (a dangling link), starts collide often and threads are few, so
+/// every branch of the indexes is exercised.
+type RowPlan = (bool, u64, u32, u32, u64, u64, Option<u64>);
+
+fn arb_rows() -> impl Strategy<Value = Vec<RowPlan>> {
+    proptest::collection::vec(
+        (
+            any::<bool>(),
+            0u64..3,
+            1u32..3,
+            0u32..4,
+            0u64..40,
+            0u64..10,
+            proptest::option::of(0u64..24),
+        ),
+        0..60,
+    )
+}
+
+fn random_trace(rows: &[RowPlan]) -> TraceDb {
+    let mut trace = TraceDb::default();
+    for &(is_ecall, thread, enclave, call_index, start_ns, duration, parent) in rows {
+        let end_ns = start_ns + duration;
+        if is_ecall {
+            trace.ecalls.insert(EcallRow {
+                thread,
+                enclave,
+                call_index,
+                start_ns,
+                end_ns,
+                parent_ocall: parent,
+                aex_count: duration % 3,
+                failed: false,
+            });
+        } else {
+            trace.ocalls.insert(OcallRow {
+                thread,
+                enclave,
+                call_index,
+                start_ns,
+                end_ns,
+                parent_ecall: parent,
+                failed: false,
+            });
+        }
+    }
+    trace
+}
+
+/// The oracle for `by_row`: a scan of every instance.
+fn scan_by_row(all: &[CallInstance], kind: CallKind, row: u64) -> Option<usize> {
+    all.iter().position(|i| i.call.kind == kind && i.row == row)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(200))]
+
+    #[test]
+    fn indexes_match_brute_force_scans(rows in arb_rows()) {
+        let trace = random_trace(&rows);
+        let inst = Instances::build(&trace, &HwProfile::Unpatched.cost_model());
+        let all = &inst.all;
+        prop_assert_eq!(all.len(), rows.len());
+        for w in all.windows(2) {
+            prop_assert!(
+                (w[0].start_ns, w[0].call.kind, w[0].row) < (w[1].start_ns, w[1].call.kind, w[1].row)
+            );
+        }
+
+        // distinct_calls: every call of the view, sorted and deduplicated.
+        let mut calls: Vec<CallRef> = all.iter().map(|i| i.call).collect();
+        calls.sort();
+        calls.dedup();
+        prop_assert_eq!(inst.distinct_calls(), calls.clone());
+
+        // of_call: the filtered view, in start order — also for calls
+        // that never ran.
+        let absent = CallRef { enclave: 9, kind: CallKind::Ecall, index: 0 };
+        for call in calls.iter().copied().chain([absent]) {
+            let indexed: Vec<u64> = inst.of_call(call).map(|i| i.start_ns * 1000 + i.row).collect();
+            let scanned: Vec<u64> = all
+                .iter()
+                .filter(|i| i.call == call)
+                .map(|i| i.start_ns * 1000 + i.row)
+                .collect();
+            prop_assert_eq!(indexed, scanned);
+        }
+
+        // by_row: every row id in range and past the end of both tables.
+        for kind in [CallKind::Ecall, CallKind::Ocall] {
+            for row in 0..30u64 {
+                let indexed = inst.by_row(kind, row).map(|i| (i.call, i.row, i.start_ns));
+                let scanned = scan_by_row(all, kind, row).map(|p| (all[p].call, all[p].row, all[p].start_ns));
+                prop_assert_eq!(indexed, scanned);
+            }
+        }
+
+        // Indirect parents: the previous instance with the same thread,
+        // direct-parent link (dangling or not) and kind (Figure 4).
+        for (idx, i) in all.iter().enumerate() {
+            let expected = all[..idx].iter().rposition(|p| {
+                p.thread == i.thread && p.direct_parent == i.direct_parent && p.call.kind == i.call.kind
+            });
+            prop_assert_eq!(i.indirect_parent, expected, "instance {}: {:?}", idx, i);
         }
     }
 }

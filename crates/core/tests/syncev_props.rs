@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use eventdb::{Decoder, Encoder, Record, Store, Table};
+use eventdb::{Decoder, Encoder, Record, SegmentedWriter, Store, Table};
 use sgx_perf::events::SyncEvRow;
 use sgx_perf::TraceDb;
 
@@ -79,19 +79,14 @@ proptest! {
         rows in proptest::collection::vec(arb_syncev_row(), 1..24),
         cut_fraction in 0.0f64..1.0,
     ) {
-        let dir = std::env::temp_dir().join("sgx-perf-syncev-props");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("salvage-{}.evdb", rows.len()));
-        // Write snapshots of growing prefixes, as the live logger does.
-        let mut writer = Store::open_segmented(&path).unwrap();
+        // Record snapshots of growing prefixes, as the live logger does.
+        let mut writer = SegmentedWriter::new(Vec::new()).unwrap();
         let mut table: Table<SyncEvRow> = Table::default();
         for r in &rows {
             table.insert(r.clone());
             writer.append(&table).unwrap();
         }
-        drop(writer);
-        let full = std::fs::read(&path).unwrap();
-        std::fs::remove_file(&path).unwrap();
+        let full = writer.into_inner();
         let cut = ((full.len() as f64) * cut_fraction) as usize;
         let (store, dropped) = Store::salvage_segmented(&full[..cut]).unwrap();
         let salvaged: Vec<SyncEvRow> = match store.get::<SyncEvRow>() {

@@ -45,10 +45,12 @@
 //! ```
 
 pub mod codec;
+pub mod scratch;
 pub mod store;
 pub mod table;
 
 pub use codec::{Decoder, Encoder};
+pub use scratch::ScratchDir;
 pub use store::{SectionInfo, SegmentedWriter, Store};
 pub use table::{Record, RowId, Table};
 

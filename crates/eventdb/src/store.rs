@@ -412,6 +412,7 @@ impl<W: Write> SegmentedWriter<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ScratchDir;
 
     #[derive(Debug, Clone, PartialEq)]
     struct A(u64);
@@ -536,27 +537,12 @@ mod tests {
         assert!(matches!(got, Err(DbError::Corrupt(_))), "{got:?}");
     }
 
-    /// A file path unique to one test in one process, removed on drop.
-    struct TempPath(std::path::PathBuf);
-
-    impl TempPath {
-        fn new(test: &str) -> TempPath {
-            let name = format!("eventdb-{test}-{:x}.evdb", std::process::id());
-            TempPath(std::env::temp_dir().join(name))
-        }
-    }
-
-    impl Drop for TempPath {
-        fn drop(&mut self) {
-            let _ = fs::remove_file(&self.0);
-        }
-    }
-
     #[test]
     fn file_roundtrip() {
-        let path = TempPath::new("file-roundtrip");
-        sample_store().save(&path.0).unwrap();
-        let s = Store::load(&path.0).unwrap();
+        let dir = ScratchDir::new("eventdb-file-roundtrip");
+        let path = dir.join("store.evdb");
+        sample_store().save(&path).unwrap();
+        let s = Store::load(&path).unwrap();
         assert_eq!(s.tags(), vec!["a", "b"]);
     }
 
@@ -652,11 +638,12 @@ mod tests {
 
     #[test]
     fn load_auto_detects_segmented_layout_and_salvages() {
-        let path = TempPath::new("load-segmented");
+        let dir = ScratchDir::new("eventdb-load-segmented");
+        let path = dir.join("torn.evdb");
         let data = segmented_bytes();
         // Write a torn recording; load must salvage it transparently.
-        fs::write(&path.0, &data[..data.len() - 3]).unwrap();
-        let s = Store::load(&path.0).unwrap();
+        fs::write(&path, &data[..data.len() - 3]).unwrap();
+        let s = Store::load(&path).unwrap();
         assert_eq!(s.tags(), vec!["a"]);
     }
 }

@@ -2,7 +2,7 @@
 //! and the fail-closed contract for corrupted input — any truncation or
 //! mutation of a valid store must surface as `DbError`, never a panic.
 
-use eventdb::{DbError, Decoder, Encoder, Record, Store, Table};
+use eventdb::{DbError, Decoder, Encoder, Record, SegmentedWriter, Store, Table};
 use proptest::prelude::*;
 
 /// A record exercising every codec primitive: fixed-width integers,
@@ -213,25 +213,19 @@ proptest! {
 /// recording and returns the file bytes plus the byte offset of every
 /// frame boundary (the salvageable cut points).
 fn segmented_recording(snapshots: &[Vec<Mixed>]) -> (Vec<u8>, Vec<usize>) {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    static SEQ: AtomicUsize = AtomicUsize::new(0);
-    let dir = std::env::temp_dir().join("eventdb-props-seg");
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join(format!(
-        "rec-{}-{}.evdb",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let mut writer = Store::open_segmented(&path).expect("open segmented");
-    let mut boundaries = vec![std::fs::metadata(&path).expect("meta").len() as usize];
-    for snapshot in snapshots {
-        let table: Table<Mixed> = snapshot.iter().cloned().collect();
-        writer.append(&table).expect("append frame");
-        boundaries.push(std::fs::metadata(&path).expect("meta").len() as usize);
-    }
-    let data = std::fs::read(&path).expect("read recording");
-    std::fs::remove_file(&path).ok();
-    (data, boundaries)
+    let record = |frames: &[Vec<Mixed>]| {
+        let mut writer = SegmentedWriter::new(Vec::new()).expect("start recording");
+        for frame in frames {
+            let table: Table<Mixed> = frame.iter().cloned().collect();
+            writer.append(&table).expect("append frame");
+        }
+        writer.into_inner()
+    };
+    // A recording of the first k snapshots is a prefix of the whole one.
+    let boundaries = (0..=snapshots.len())
+        .map(|k| record(&snapshots[..k]).len())
+        .collect();
+    (record(snapshots), boundaries)
 }
 
 proptest! {

@@ -126,12 +126,10 @@ fn fleet_report_round_trips_through_save_and_load() {
     assert_eq!(fresh.totals.slots as usize, cfg.slots);
     assert_eq!(fresh.totals.completed, cfg.requests);
 
-    let dir = std::env::temp_dir().join("sgx-perf-fleet-e2e");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = eventdb::ScratchDir::new("sgx-perf-fleet-e2e");
     let path = dir.join("fleet.evdb");
     run.trace.save(&path).unwrap();
     let loaded = sgx_perf::TraceDb::load(&path).unwrap();
-    std::fs::remove_file(&path).ok();
 
     assert_eq!(loaded.fleet.len(), cfg.slots);
     let reloaded = FleetReport::from_trace(&loaded);

@@ -3,9 +3,14 @@
 //! "separate process", and render the Figure 5 call graph as Graphviz DOT.
 //!
 //! ```sh
-//! cargo run -p sgx-perf-examples --bin callgraph_dot
+//! cargo run -p sgx-perf-examples --bin callgraph_dot [-- <trace.evdb>]
 //! dot -Tsvg talos_callgraph.dot -o talos_callgraph.svg   # optional
 //! ```
+//!
+//! The trace is kept at `<trace.evdb>` when one is given; otherwise it
+//! goes to a scratch directory that is removed on exit.
+
+use std::path::PathBuf;
 
 use sgx_perf::{Analyzer, Logger, LoggerConfig, TraceDb};
 use sim_core::HwProfile;
@@ -28,7 +33,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         result.stats.operations
     );
 
-    let trace_path = std::env::temp_dir().join("talos_trace.evdb");
+    let scratch = eventdb::ScratchDir::new("callgraph-dot");
+    let trace_path = std::env::args_os()
+        .nth(1)
+        .map_or_else(|| scratch.join("talos_trace.evdb"), PathBuf::from);
     logger.finish().save(&trace_path)?;
     println!("trace written to {}", trace_path.display());
 
