@@ -35,6 +35,13 @@ impl Deref for ScratchFile {
     }
 }
 
+/// Saves `trace` to a scratch file `<tag>.evdb` of its own.
+fn save_trace(trace: &sgx_perf::TraceDb, tag: &str) -> ScratchFile {
+    let path = ScratchFile::new(&format!("{tag}.evdb"));
+    trace.save(&*path).unwrap();
+    path
+}
+
 /// Records a small trace with one hot ecall + nested ocall and writes it
 /// to a scratch file, which it returns.
 fn record_trace(tag: &str) -> ScratchFile {
@@ -72,9 +79,7 @@ fn record_trace(tag: &str) -> ScratchFile {
         )
         .unwrap();
     }
-    let path = ScratchFile::new(&format!("{tag}.evdb"));
-    logger.finish().save(&*path).unwrap();
-    path
+    save_trace(&logger.finish(), tag)
 }
 
 fn sgxperf(args: &[&str]) -> (String, String, bool) {
@@ -227,9 +232,7 @@ fn record_lint_scenario(tag: &str) -> (ScratchFile, ScratchFile) {
     }
     let edl_path = ScratchFile::new(&format!("{tag}.edl"));
     std::fs::write(&*edl_path, EDL).unwrap();
-    let trace_path = ScratchFile::new(&format!("{tag}.evdb"));
-    logger.finish().save(&*trace_path).unwrap();
-    (edl_path, trace_path)
+    (edl_path, save_trace(&logger.finish(), tag))
 }
 
 #[test]
@@ -373,8 +376,7 @@ fn usage_synopses_cover_current_flags() {
 }
 
 /// Builds a trace whose sync-event table carries a seeded data race and
-/// lock inversion (the CLI cannot depend on the workloads crate, so the
-/// rows are written directly).
+/// lock inversion, written row by row so the findings are pinned exactly.
 fn record_racy_trace(tag: &str) -> ScratchFile {
     use sgx_perf::events::SyncEvRow;
     use sim_core::syncev::{SyncOp, EXTERNAL_THREAD};
@@ -403,9 +405,7 @@ fn record_racy_trace(tag: &str) -> ScratchFile {
     push(1, SyncOp::LockAcquire, Some(1), "lock_a", 800);
     push(1, SyncOp::LockRelease, Some(1), "lock_a", 900);
     push(1, SyncOp::LockRelease, Some(2), "lock_b", 1000);
-    let path = ScratchFile::new(&format!("{tag}.evdb"));
-    trace.save(&*path).unwrap();
-    path
+    save_trace(&trace, tag)
 }
 
 #[test]
@@ -500,6 +500,63 @@ fn diff_of_a_trace_with_itself_is_neutral_exit_zero() {
     assert_balanced_json(&json);
     assert!(json.contains("\"verdict\": \"neutral\""), "{json}");
     assert!(json.contains("\"exit_code\": 0"), "{json}");
+}
+
+/// The diff gate on real workload pairs: the chaos fixture under the
+/// canned regression plan must exit 3, and the switchless closed loop's
+/// optimisation must not regress (exit 0).
+#[test]
+fn diff_gates_real_ab_pairs() {
+    let (baseline, faulted) =
+        workloads::chaos::ab_pair(HwProfile::Unpatched, &workloads::chaos::regression_plan(5));
+    let (baseline, faulted) = (
+        save_trace(&baseline, "chaos-baseline"),
+        save_trace(&faulted, "chaos-faulted"),
+    );
+    let (stdout, stderr, code) = sgxperf_code(&[
+        "diff",
+        baseline.to_str().unwrap(),
+        faulted.to_str().unwrap(),
+    ]);
+    assert_eq!(code, 3, "{stdout}{stderr}");
+    assert!(stdout.contains("verdict: REGRESSION"), "{stdout}");
+
+    let closed = workloads::switchless_loop::closed_loop(HwProfile::Unpatched, 1_000).unwrap();
+    let (before, after) = (
+        save_trace(&closed.trace_before, "switchless-before"),
+        save_trace(&closed.trace_after, "switchless-after"),
+    );
+    let (before, after) = (before.to_str().unwrap(), after.to_str().unwrap());
+    let (stdout, stderr, code) = sgxperf_code(&["diff", before, after]);
+    assert_eq!(code, 0, "{stdout}{stderr}");
+    assert!(stdout.contains("verdict: IMPROVEMENT"), "{stdout}");
+    let (json, _, code) = sgxperf_code(&["diff", before, after, "--json"]);
+    assert_eq!(code, 0);
+    assert_balanced_json(&json);
+}
+
+/// A real fleet trace renders through `report` and `fleet`, and its
+/// self-diff is neutral, so fleet tables never destabilise the diff gate.
+#[test]
+fn fleet_trace_reports_and_self_diffs_neutral() {
+    let run = workloads::fleet::run(
+        HwProfile::Unpatched,
+        &workloads::fleet::FleetRunConfig::tiny(),
+        None,
+    )
+    .unwrap();
+    let trace = save_trace(&run.trace, "fleet-unpatched");
+    let path = trace.to_str().unwrap();
+    let (stdout, stderr, ok) = sgxperf(&["report", path]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("sgx-perf analysis report"), "{stdout}");
+    let (stdout, stderr, ok) = sgxperf(&["fleet", path, "--top", "5"]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("fleet: 32 slot(s)"), "{stdout}");
+    assert!(stdout.contains("5 of 32 slot(s)"), "{stdout}");
+    let (stdout, stderr, code) = sgxperf_code(&["diff", path, path]);
+    assert_eq!(code, 0, "{stdout}{stderr}");
+    assert!(stdout.contains("verdict: NEUTRAL"), "{stdout}");
 }
 
 #[test]

@@ -12,6 +12,7 @@
 
 use std::time::Instant;
 
+use eventdb::ScratchDir;
 use sgx_perf::{AexMode, Logger, LoggerConfig};
 use sim_core::campaign::CampaignSpec;
 use sim_core::HwProfile;
@@ -49,19 +50,19 @@ fn main() {
     // spends revalidating (manifest + checksums, zero cells re-run), and
     // what a flaky cell's retry costs end to end (one failed attempt,
     // backoff, one clean attempt).
-    let archive = std::env::temp_dir().join(format!("sgxperf-bench-{}", std::process::id()));
-    std::fs::remove_dir_all(&archive).ok();
-    matrix::run(&plan, Engine::Fast, cores, Some(&archive), false).expect("archived campaign");
+    let archive = ScratchDir::new("sgxperf-bench");
+    matrix::run(&plan, Engine::Fast, cores, Some(archive.path()), false)
+        .expect("archived campaign");
     let started = Instant::now();
-    let resumed =
-        matrix::run(&plan, Engine::Fast, cores, Some(&archive), true).expect("resumed campaign");
+    let resumed = matrix::run(&plan, Engine::Fast, cores, Some(archive.path()), true)
+        .expect("resumed campaign");
     let resume_validate_wall = started.elapsed();
     assert_eq!(
         resumed.render(),
         parallel.render(),
         "resumed summary must be byte-identical"
     );
-    std::fs::remove_dir_all(&archive).ok();
+    drop(archive);
 
     let flaky_spec = CampaignSpec::parse(
         "[campaign]\nname = \"bench-flaky\"\nthreshold = 25\n\

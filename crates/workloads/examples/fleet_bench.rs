@@ -1,5 +1,5 @@
 //! Fleet benchmark: runs the acceptance-scale fleet scenario and emits
-//! `BENCH_fleet.json` — the fleet-scale counterpart of `BENCH_diff.json`:
+//! `BENCH_fleet.json`:
 //!
 //! * `enclaves_per_sec_spinup` — cold starts per *real* second (spin-up
 //!   churn through the bounded live pool),
@@ -15,6 +15,13 @@
 //!
 //! `NxM` is a custom scale — N enclaves x M requests (e.g. `10x100000`
 //! for the Appendix G sweep), with the live pool capped at min(N, 64).
+//!
+//! The scale runs twice and the two traces must be byte-identical — the
+//! repo's determinism invariant at fleet scale. Every request must
+//! complete and page-outs must hit more than one slot (the shared-EPC
+//! contention signature). The trace is kept beside the JSON as
+//! `fleet-<profile>.evdb` for `sgxperf report` / `sgxperf fleet` /
+//! `sgxperf diff`.
 
 use std::collections::HashMap;
 use std::time::Instant;
@@ -59,6 +66,22 @@ fn main() {
     let real_secs = start.elapsed().as_secs_f64();
     let agg = &run.aggregate;
 
+    let trace_path = std::path::Path::new(&out).with_file_name(format!("fleet-{label}.evdb"));
+    let bytes = run.trace.to_bytes();
+    let rerun = fleet::run(profile, &cfg, None).expect("fleet rerun");
+    assert!(
+        rerun.trace.to_bytes() == bytes,
+        "{label}: fleet traces differ between identical runs"
+    );
+    drop(rerun);
+    std::fs::write(&trace_path, &bytes).expect("write fleet trace");
+    assert_eq!(agg.completed, cfg.requests, "{label}: requests lost");
+    let victims = run.slots.iter().filter(|s| s.page_outs > 0).count();
+    assert!(
+        victims > 1,
+        "{label}: evictions confined to {victims} slot(s)"
+    );
+
     let spinups_per_sec = agg.spin_ups as f64 / real_secs;
     let requests_per_sec = run.stats.throughput();
 
@@ -92,5 +115,8 @@ fn main() {
     );
     std::fs::write(&out, &json).expect("write bench json");
     print!("{json}");
-    eprintln!("wrote {out}");
+    eprintln!(
+        "wrote {out} and {} (byte-identical across 2 runs)",
+        trace_path.display()
+    );
 }

@@ -1016,6 +1016,7 @@ pub fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eventdb::ScratchDir;
 
     fn tiny_spec(extra: &str) -> CampaignSpec {
         CampaignSpec::parse(&format!(
@@ -1084,9 +1085,10 @@ mod tests {
 
     #[test]
     fn archives_land_at_deterministic_paths() {
-        let dir = std::env::temp_dir().join(format!("sgxperf-matrix-{}", std::process::id()));
+        let scratch = ScratchDir::new("sgxperf-matrix");
+        let dir = scratch.path();
         let plan = MatrixPlan::from_spec(tiny_spec("")).unwrap();
-        let run = run(&plan, Engine::Fast, 2, Some(&dir), false).unwrap();
+        let run = run(&plan, Engine::Fast, 2, Some(dir), false).unwrap();
         for cell in &run.cells {
             let path = dir.join(&cell.file);
             let bytes = std::fs::read(&path).expect("archived trace");
@@ -1104,7 +1106,6 @@ mod tests {
         let (checksum, entries) = parse_manifest(&manifest).expect("manifest parses");
         assert_eq!(checksum, fnv1a(plan.spec.to_string().as_bytes()));
         assert_eq!(entries.len(), run.cells.len());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     fn fixture_spec(workloads: &str, robustness: &str) -> MatrixPlan {
@@ -1180,20 +1181,20 @@ mod tests {
 
     #[test]
     fn resume_reruns_only_missing_or_corrupt_cells_byte_identically() {
-        let dir = std::env::temp_dir().join(format!("sgxperf-resume-{}", std::process::id()));
         // The faulted spec salvages cells with fault rows: their counts
         // come from the resume check's decode, not from a re-run.
         for extra in [
             "",
             "[faults]\nnone = \"\"\nlight = \"seed=9;ocall-fail@call=3:times=1\"\n",
         ] {
-            std::fs::remove_dir_all(&dir).ok();
+            let scratch = ScratchDir::new("sgxperf-resume");
+            let dir = scratch.path();
             let plan = MatrixPlan::from_spec(tiny_spec(extra)).unwrap();
-            let full = run(&plan, Engine::Fast, 2, Some(&dir), false).unwrap();
+            let full = run(&plan, Engine::Fast, 2, Some(dir), false).unwrap();
             // Fabricate an interrupted run: one trace missing, one corrupt.
             std::fs::remove_file(dir.join(&full.cells[1].file)).unwrap();
             std::fs::write(dir.join(&full.cells[2].file), b"garbage").unwrap();
-            let resumed = run(&plan, Engine::Fast, 2, Some(&dir), true).unwrap();
+            let resumed = run(&plan, Engine::Fast, 2, Some(dir), true).unwrap();
             assert_eq!(resumed.render(), full.render());
             assert_eq!(resumed.to_json(), full.to_json());
             for cell in &resumed.cells {
@@ -1207,24 +1208,22 @@ mod tests {
                 .any(|(i, c)| ![1, 2].contains(&i) && c.fault_rows > 0);
             assert_eq!(salvaged_faults, !extra.is_empty(), "{}", full.render());
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn resume_rejects_a_foreign_output_dir() {
-        let dir = std::env::temp_dir().join(format!("sgxperf-foreign-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
+        let scratch = ScratchDir::new("sgxperf-foreign");
+        let dir = scratch.path();
         let plan = MatrixPlan::from_spec(tiny_spec("")).unwrap();
-        run(&plan, Engine::Fast, 2, Some(&dir), false).unwrap();
+        run(&plan, Engine::Fast, 2, Some(dir), false).unwrap();
         let other = MatrixPlan::from_spec(tiny_spec(
             "[faults]\nnone = \"\"\nlight = \"seed=9;ocall-fail@call=3:times=1\"\n",
         ))
         .unwrap();
-        let e = run(&other, Engine::Fast, 2, Some(&dir), true).unwrap_err();
+        let e = run(&other, Engine::Fast, 2, Some(dir), true).unwrap_err();
         assert!(e.contains("different spec"), "{e}");
         let e = run(&plan, Engine::Fast, 2, None, true).unwrap_err();
         assert!(e.contains("output directory"), "{e}");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

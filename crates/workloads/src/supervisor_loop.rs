@@ -45,7 +45,8 @@ pub const EDL: &str = "enclave {
 pub const SESSION_KEY: u64 = 0x5EC5_EED5;
 
 /// Called after each completed request with the request index — the
-/// crash-consistent persistence point for the segmented-trace example.
+/// crash-consistent persistence point for a segmented recording
+/// (`tests/supervisor_e2e.rs` appends a trace snapshot here).
 pub type RequestObserver = Arc<dyn Fn(u64) + Send + Sync>;
 
 /// Outcome of one supervised run.
@@ -85,8 +86,8 @@ pub fn run(
     run_with_observer(harness, requests, plan, switchless, None)
 }
 
-/// [`run`] with a per-request observer — the hook the segmented-trace
-/// example uses to persist a trace snapshot after every unit of work.
+/// [`run`] with a per-request observer — the hook a segmented recording
+/// uses to persist a trace snapshot after every unit of work.
 ///
 /// # Errors
 ///

@@ -1,5 +1,6 @@
 //! End-to-end gates for the fleet subsystem, at unit-test scale (the
-//! 1000 × 100k acceptance run is `examples/fleet_smoke.rs -- full`):
+//! 1000 × 100k acceptance run is `examples/fleet_bench.rs -- <out.json>
+//! full`, which asserts the same two-run byte identity):
 //!
 //! * the core determinism invariant extended to fleets — two identical
 //!   runs produce **byte-identical** traces on every hardware profile,

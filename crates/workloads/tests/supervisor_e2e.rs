@@ -1,8 +1,13 @@
 //! End-to-end enclave-lost recovery: the supervisor rides out losses in a
 //! stateful workload, determinism survives the recovery machinery, the
-//! circuit breaker fails clean, and switchless-path losses are intercepted.
+//! circuit breaker fails clean, switchless-path losses are intercepted, and
+//! a segmented recording killed at any byte still loads and reports.
 
-use sgx_perf::{Analyzer, Logger, LoggerConfig, Recommendation};
+use std::io::{self, Write};
+use std::sync::{Arc, Mutex};
+
+use eventdb::{ScratchDir, SegmentedWriter};
+use sgx_perf::{Analyzer, Logger, LoggerConfig, Recommendation, TraceDb};
 use sgx_sdk::{SdkError, SwitchlessConfig};
 use sim_core::fault::{FaultKind, FaultPlan, FaultTrigger};
 use sim_core::HwProfile;
@@ -140,4 +145,126 @@ fn analyzer_surfaces_replay_dominated_recovery() {
         "ReduceRecoveryState not surfaced: {:?}",
         report.detections
     );
+}
+
+/// An in-memory sink that stays readable while a [`SegmentedWriter`] owns
+/// it. It remembers where each write ended: the writer emits each frame
+/// with one `write_all`, so those are the frame boundaries.
+#[derive(Clone, Default)]
+struct Recording(Arc<Mutex<(Vec<u8>, Vec<usize>)>>);
+
+impl Write for Recording {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let mut rec = self.0.lock().unwrap();
+        rec.0.extend_from_slice(buf);
+        let end = rec.0.len();
+        rec.1.push(end);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+fn render(trace: &TraceDb) -> String {
+    Analyzer::new(trace, HwProfile::Unpatched.cost_model())
+        .analyze()
+        .render()
+}
+
+/// Crash salvage: the supervised run loses its enclave mid-run and appends
+/// a trace snapshot to a segmented recording after every request, then the
+/// final trace. A process killed mid-append leaves a byte prefix of that
+/// recording, so every prefix past the first snapshot must load and
+/// report, a prefix ending on a snapshot must load as exactly that
+/// snapshot, and the whole recording must report as the unsegmented trace.
+#[test]
+fn every_prefix_of_a_segmented_recording_salvages_and_reports() {
+    let harness = Harness::new(HwProfile::Unpatched);
+    let logger = Logger::attach(harness.runtime(), LoggerConfig::default());
+    let recording = Recording::default();
+    let writer = Arc::new(Mutex::new(
+        SegmentedWriter::new(recording.clone()).expect("segmented header"),
+    ));
+    // (end offset, trace bytes) of every snapshot.
+    let snapshots = Arc::new(Mutex::new(Vec::new()));
+    let observer: supervisor_loop::RequestObserver = {
+        let (logger, writer, recording, snapshots) = (
+            Arc::clone(&logger),
+            Arc::clone(&writer),
+            recording.clone(),
+            Arc::clone(&snapshots),
+        );
+        Arc::new(move |_req| {
+            let store = logger.snapshot().to_store();
+            writer.lock().unwrap().append_store(&store).unwrap();
+            let end = recording.0.lock().unwrap().0.len();
+            snapshots.lock().unwrap().push((end, store.to_bytes()));
+        })
+    };
+    let run = supervisor_loop::run_with_observer(
+        &harness,
+        48,
+        Some(&loss_plan(24)),
+        None,
+        Some(observer),
+    )
+    .expect("supervised run");
+    assert_eq!(run.restarts, 1, "the loss must land mid-run");
+    let trace = logger.finish();
+    writer
+        .lock()
+        .unwrap()
+        .append_store(&trace.to_store())
+        .unwrap();
+
+    let (bytes, frame_ends) = recording.0.lock().unwrap().clone();
+    let snapshots = snapshots.lock().unwrap().clone();
+    assert_eq!(snapshots.len(), 48);
+    // Each snapshot boundary and the bytes either side of it, plus the end
+    // and the midpoint of every seventh frame: a stride co-prime with the
+    // 8 (10 once the loss is recorded) frames per snapshot, so every
+    // table's frame gets torn.
+    let mut cuts = vec![0, 1];
+    for &(end, _) in &snapshots {
+        cuts.extend([end - 1, end, end + 1]);
+    }
+    let mut start = 0;
+    for (i, &end) in frame_ends.iter().enumerate() {
+        if i % 7 == 0 {
+            cuts.extend([(start + end) / 2, end]);
+        }
+        start = end;
+    }
+    cuts.sort_unstable();
+    cuts.dedup();
+
+    let dir = ScratchDir::new("supervisor-salvage");
+    let path = dir.join("torn.evdb");
+    for cut in cuts {
+        std::fs::write(&path, &bytes[..cut]).unwrap();
+        let loaded = TraceDb::load(&path);
+        if cut < snapshots[0].0 {
+            // Before the first whole snapshot the recording may miss a
+            // required table: an error, never a panic.
+            if let Ok(salvaged) = loaded {
+                render(&salvaged);
+            }
+            continue;
+        }
+        let salvaged = loaded.unwrap_or_else(|e| panic!("cut at {cut}: {e}"));
+        assert!(render(&salvaged).contains("sgx-perf analysis report"));
+        if let Ok(k) = snapshots.binary_search_by_key(&cut, |(end, _)| *end) {
+            assert!(
+                salvaged.to_bytes() == snapshots[k].1,
+                "cut at {cut}: not snapshot {k}"
+            );
+        }
+    }
+
+    std::fs::write(&path, &bytes).unwrap();
+    let whole = TraceDb::load(&path).unwrap();
+    assert!(whole.to_bytes() == trace.to_bytes(), "whole recording");
+    assert_eq!(render(&whole), render(&trace));
 }

@@ -2,11 +2,12 @@
 //! produce byte-identical summaries and per-cell traces across repeated
 //! runs, across worker counts, and across both simulation engines — and
 //! the shipped chaos spec must deterministically trip the regression
-//! gate. These are the contracts CI's campaign-smoke job enforces on the
+//! gate. These are the contracts CI's campaign job enforces on the
 //! release binary; here they run against the library in debug.
 
 use std::path::PathBuf;
 
+use eventdb::ScratchDir;
 use sgx_perf::analysis::diff::REGRESSION_EXIT_CODE;
 use sim_core::campaign::CampaignSpec;
 use sim_threads::Engine;
@@ -17,12 +18,6 @@ fn spec(name: &str) -> MatrixPlan {
     let src = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
     let spec = CampaignSpec::parse(&src).unwrap_or_else(|e| panic!("{path}: {e}"));
     MatrixPlan::from_spec(spec).unwrap_or_else(|e| panic!("{path}: {e}"))
-}
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("sgxperf-golden-{}-{tag}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    dir
 }
 
 /// Reads every archived artifact (traces + summaries) as (name, bytes),
@@ -45,9 +40,10 @@ fn artifacts(dir: &PathBuf) -> Vec<(String, Vec<u8>)> {
 #[test]
 fn smoke_spec_is_byte_identical_across_runs_and_engines() {
     let plan = spec("smoke");
-    let dir_fast1 = temp_dir("fast1");
-    let dir_fast2 = temp_dir("fast2");
-    let dir_legacy = temp_dir("legacy");
+    let scratch = ScratchDir::new("sgxperf-golden");
+    let dir_fast1 = scratch.join("fast1");
+    let dir_fast2 = scratch.join("fast2");
+    let dir_legacy = scratch.join("legacy");
 
     let fast1 = matrix::run(&plan, Engine::Fast, 1, Some(&dir_fast1), false).unwrap();
     let fast2 = matrix::run(&plan, Engine::Fast, 4, Some(&dir_fast2), false).unwrap();
@@ -73,10 +69,6 @@ fn smoke_spec_is_byte_identical_across_runs_and_engines() {
     );
     assert_eq!(a, artifacts(&dir_fast2), "fast run-to-run artifacts");
     assert_eq!(a, artifacts(&dir_legacy), "fast vs legacy artifacts");
-
-    for dir in [dir_fast1, dir_fast2, dir_legacy] {
-        std::fs::remove_dir_all(dir).ok();
-    }
 }
 
 #[test]

@@ -3,11 +3,10 @@
 //! both simulation engines, the shipped `faulty` spec must complete with
 //! the documented quarantine ledger and incomplete exit code, and a
 //! resume over a partial archive must reproduce an uninterrupted run
-//! byte for byte. These are the library-level halves of CI's
-//! campaign-resume job.
+//! byte for byte. These are the library-level halves of CI's campaign
+//! job.
 
-use std::path::PathBuf;
-
+use eventdb::ScratchDir;
 use sim_core::campaign::CampaignSpec;
 use sim_threads::Engine;
 use workloads::campaign::matrix::{
@@ -24,13 +23,6 @@ fn shipped(name: &str) -> MatrixPlan {
     let src = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
     MatrixPlan::from_spec(CampaignSpec::parse(&src).unwrap_or_else(|e| panic!("{path}: {e}")))
         .unwrap_or_else(|e| panic!("{path}: {e}"))
-}
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("sgxperf-supervision-{}-{tag}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    dir
 }
 
 #[test]
@@ -100,8 +92,9 @@ fn shipped_faulty_spec_completes_with_ledger_and_exit_four_on_both_engines() {
 fn resume_after_partial_run_is_byte_identical_on_both_engines() {
     for (engine, tag) in [(Engine::Fast, "fast"), (Engine::Legacy, "legacy")] {
         let plan = shipped("smoke");
-        let full_dir = temp_dir(&format!("{tag}-full"));
-        let partial_dir = temp_dir(&format!("{tag}-partial"));
+        let scratch = ScratchDir::new("sgxperf-supervision");
+        let full_dir = scratch.join("full");
+        let partial_dir = scratch.join("partial");
         let full = matrix::run(&plan, engine, 2, Some(&full_dir), false).unwrap();
 
         // Fabricate the interrupted run: the same archive with one trace
@@ -144,8 +137,6 @@ fn resume_after_partial_run_is_byte_identical_on_both_engines() {
                 "{tag}: {name} differs after resume"
             );
         }
-        std::fs::remove_dir_all(&full_dir).ok();
-        std::fs::remove_dir_all(&partial_dir).ok();
     }
 }
 

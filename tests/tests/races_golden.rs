@@ -110,7 +110,7 @@ fn stock_workloads_have_no_error_findings() {
                 workloads::sqlitedb::run(
                     h,
                     &workloads::sqlitedb::SqliteConfig {
-                        inserts: 100,
+                        inserts: 200,
                         ..Default::default()
                     },
                 )
@@ -127,7 +127,7 @@ fn stock_workloads_have_no_error_findings() {
                     force_ocalls: vec!["ocall_log".into()],
                     ..sgx_sdk::SwitchlessConfig::default()
                 };
-                workloads::switchless_loop::run(h, 100, Some(cfg)).unwrap()
+                workloads::switchless_loop::run(h, 200, Some(cfg)).unwrap()
             }),
         ),
     ];
