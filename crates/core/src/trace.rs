@@ -1,8 +1,9 @@
 //! The trace database produced by the logger and consumed by the analyzer.
 
+use std::fs;
 use std::path::Path;
 
-use eventdb::{DbError, Record, Store, Table};
+use eventdb::{DbError, Record, Store, StoreEncoder, StoreView, Table, TableSink};
 
 use crate::events::{
     AexRow, EcallRow, EnclaveRow, FaultRow, FleetRow, LifecycleRow, OcallRow, PagingRow,
@@ -54,58 +55,65 @@ pub struct TraceDb {
 
 /// Reads a table, treating its absence as empty — traces written before the
 /// table existed stay loadable.
-fn get_or_empty<R: Record>(store: &Store) -> Result<Table<R>, DbError> {
-    match store.get() {
+fn get_or_empty<R: Record>(view: &StoreView<'_>) -> Result<Table<R>, DbError> {
+    match view.get() {
         Err(DbError::MissingTable(_)) => Ok(Table::default()),
         other => other,
     }
 }
 
 impl TraceDb {
-    /// Serialises all tables into the container format.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        self.to_store().to_bytes()
-    }
-
-    /// Lowers the trace to the generic table container — the form both the
-    /// monolithic writer ([`save`](TraceDb::save)) and the crash-consistent
-    /// segmented writer ([`eventdb::SegmentedWriter`]) serialise.
-    pub fn to_store(&self) -> Store {
-        let mut store = Store::new();
-        store.put(&self.ecalls);
-        store.put(&self.ocalls);
-        store.put(&self.aex);
-        store.put(&self.paging);
-        store.put(&self.sync);
-        store.put(&self.enclaves);
-        store.put(&self.symbols);
-        store.put(&self.switchless);
+    /// Hands every table to `sink`, in file order.
+    fn put_tables(&self, sink: &mut impl TableSink) {
+        sink.put(&self.ecalls);
+        sink.put(&self.ocalls);
+        sink.put(&self.aex);
+        sink.put(&self.paging);
+        sink.put(&self.sync);
+        sink.put(&self.enclaves);
+        sink.put(&self.symbols);
+        sink.put(&self.switchless);
         // Written only when non-empty: fault-free traces stay byte-for-byte
         // identical to those of versions without the chaos harness or the
         // enclave-lost supervisor.
         if !self.faults.is_empty() {
-            store.put(&self.faults);
+            sink.put(&self.faults);
         }
         if !self.lifecycle.is_empty() {
-            store.put(&self.lifecycle);
+            sink.put(&self.lifecycle);
         }
         if !self.syncev.is_empty() {
-            store.put(&self.syncev);
+            sink.put(&self.syncev);
         }
         if !self.fleet.is_empty() {
-            store.put(&self.fleet);
+            sink.put(&self.fleet);
         }
+    }
+
+    /// Serialises all tables into the container format, in one pass into
+    /// one buffer.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut out = StoreEncoder::new();
+        self.put_tables(&mut out);
+        out.into_bytes()
+    }
+
+    /// Lowers the trace to the generic table container — the form the
+    /// crash-consistent segmented writer ([`eventdb::SegmentedWriter`])
+    /// appends. Its bytes equal [`TraceDb::to_bytes`].
+    pub fn to_store(&self) -> Store {
+        let mut store = Store::new();
+        self.put_tables(&mut store);
         store
     }
 
-    /// Parses a trace from container bytes.
+    /// Parses a trace from container bytes, decoding rows in place.
     ///
     /// # Errors
     ///
     /// Corruption or missing tables.
     pub fn from_bytes(data: &[u8]) -> Result<TraceDb, DbError> {
-        let store = Store::from_bytes(data)?;
-        TraceDb::from_store(&store)
+        TraceDb::from_view(&StoreView::from_bytes(data)?)
     }
 
     /// Parses a trace from a generic table container (e.g. one salvaged
@@ -115,19 +123,24 @@ impl TraceDb {
     ///
     /// Corruption or missing tables.
     pub fn from_store(store: &Store) -> Result<TraceDb, DbError> {
+        TraceDb::from_view(&store.view())
+    }
+
+    /// Decodes every table from a container parsed in place.
+    fn from_view(view: &StoreView<'_>) -> Result<TraceDb, DbError> {
         Ok(TraceDb {
-            ecalls: store.get()?,
-            ocalls: store.get()?,
-            aex: store.get()?,
-            paging: store.get()?,
-            sync: store.get()?,
-            enclaves: store.get()?,
-            symbols: store.get()?,
-            switchless: get_or_empty(store)?,
-            faults: get_or_empty(store)?,
-            lifecycle: get_or_empty(store)?,
-            syncev: get_or_empty(store)?,
-            fleet: get_or_empty(store)?,
+            ecalls: view.get()?,
+            ocalls: view.get()?,
+            aex: view.get()?,
+            paging: view.get()?,
+            sync: view.get()?,
+            enclaves: view.get()?,
+            symbols: view.get()?,
+            switchless: get_or_empty(view)?,
+            faults: get_or_empty(view)?,
+            lifecycle: get_or_empty(view)?,
+            syncev: get_or_empty(view)?,
+            fleet: get_or_empty(view)?,
         })
     }
 
@@ -137,17 +150,19 @@ impl TraceDb {
     ///
     /// Propagates filesystem errors.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), DbError> {
-        self.to_store().save(path)
+        fs::write(path, self.to_bytes())?;
+        Ok(())
     }
 
-    /// Loads a trace from a file.
+    /// Loads a trace from a file in either layout (see
+    /// [`Store::load`]), decoding rows straight from the file buffer.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors and corruption.
     pub fn load(path: impl AsRef<Path>) -> Result<TraceDb, DbError> {
-        let store = Store::load(path)?;
-        TraceDb::from_store(&store)
+        let data = fs::read(path)?;
+        TraceDb::from_view(&StoreView::read(&data)?)
     }
 
     /// Total recorded call events (ecalls + ocalls).

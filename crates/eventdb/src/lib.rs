@@ -51,7 +51,7 @@ pub mod table;
 
 pub use codec::{Decoder, Encoder};
 pub use scratch::ScratchDir;
-pub use store::{SectionInfo, SegmentedWriter, Store};
+pub use store::{SectionInfo, SegmentedWriter, Store, StoreEncoder, StoreView, TableSink};
 pub use table::{Record, RowId, Table};
 
 use std::fmt;

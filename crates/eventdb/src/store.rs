@@ -11,6 +11,14 @@
 //!   blob  bytes           the encoded table
 //! ```
 //!
+//! Both directions avoid copying the trace. [`StoreEncoder`] writes the
+//! header and each table's rows into one buffer in a single pass,
+//! patching each section's length prefix and the section count in place.
+//! [`StoreView`] parses a container *in place*: its sections borrow tag
+//! and blob from the input bytes, so tables decode rows straight from the
+//! file buffer. [`Store`] is the owned form (its sections are separate
+//! blobs); it is built on the same parser.
+//!
 //! A second, crash-consistent *segmented* layout exists for long-running
 //! recordings ([`Store::open_segmented`]): instead of one atomic write at
 //! end-of-run, checksummed frames are appended as the run progresses, so a
@@ -39,22 +47,46 @@ use crate::DbError;
 
 const MAGIC: &[u8; 4] = b"EVDB";
 const VERSION: u8 = 1;
+/// Byte offset of the section count in the `EVDB` header.
+const COUNT_AT: usize = MAGIC.len() + 1;
 
 const SEG_MAGIC: &[u8; 4] = b"EVSG";
 const SEG_VERSION: u8 = 1;
 
-/// Bitwise CRC-32 (IEEE, reflected polynomial). Slow but dependency-free;
-/// frames are small and written once.
-fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xffff_ffff_u32;
-    for &b in data {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xedb8_8320 & mask);
+/// CRC-32 (IEEE, reflected polynomial 0xedb88320), one table entry per
+/// byte value.
+const CRC_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 1 == 1 {
+                (crc >> 1) ^ 0xedb8_8320
+            } else {
+                crc >> 1
+            };
+            bit += 1;
         }
+        table[i] = crc;
+        i += 1;
     }
-    !crc
+    table
+};
+
+/// Feeds `data` into a running CRC-32 register (start at `!0`, finish
+/// with `!`).
+fn crc32_update(mut crc: u32, data: &[u8]) -> u32 {
+    for &b in data {
+        crc = (crc >> 8) ^ CRC_TABLE[usize::from((crc as u8) ^ b)];
+    }
+    crc
+}
+
+/// CRC-32 of `data`.
+fn crc32(data: &[u8]) -> u32 {
+    !crc32_update(!0, data)
 }
 
 /// Shape of one section, produced by [`Store::sections`] without decoding
@@ -67,6 +99,171 @@ pub struct SectionInfo {
     pub rows: u64,
     /// Encoded size of the table blob in bytes.
     pub bytes: usize,
+}
+
+/// Receives a trace's tables one at a time. [`Store`] keeps each as a
+/// separate blob; [`StoreEncoder`] writes it straight into the container
+/// bytes. Both produce the same file.
+pub trait TableSink {
+    /// Adds the section for `table`.
+    fn put<R: Record>(&mut self, table: &Table<R>);
+}
+
+/// Writes an `EVDB` container in one pass into one buffer: the same
+/// bytes as [`Store::to_bytes`] after the same `put`s, without a blob per
+/// table.
+#[derive(Debug)]
+pub struct StoreEncoder {
+    enc: Encoder,
+    sections: u32,
+}
+
+impl Default for StoreEncoder {
+    fn default() -> Self {
+        StoreEncoder::new()
+    }
+}
+
+impl StoreEncoder {
+    /// Starts a container: magic, version and a section count that
+    /// [`StoreEncoder::into_bytes`] fills in.
+    pub fn new() -> StoreEncoder {
+        let mut enc = Encoder::new();
+        for b in MAGIC {
+            enc.u8(*b);
+        }
+        enc.u8(VERSION);
+        enc.u32(0);
+        StoreEncoder { enc, sections: 0 }
+    }
+
+    /// Appends one section whose blob `write` encodes in place.
+    fn section(&mut self, tag: &str, write: impl FnOnce(&mut Encoder)) {
+        self.enc.str(tag);
+        self.enc.blob(write);
+        self.sections = self.sections.checked_add(1).expect("too many sections");
+    }
+
+    /// Finishes the container and returns its bytes.
+    pub fn into_bytes(mut self) -> Vec<u8> {
+        self.enc.patch_u32(COUNT_AT, self.sections);
+        self.enc.into_bytes()
+    }
+}
+
+impl TableSink for StoreEncoder {
+    fn put<R: Record>(&mut self, table: &Table<R>) {
+        self.section(R::TAG, |enc| table.encode(enc));
+    }
+}
+
+/// A container parsed in place: every section's tag and blob borrow the
+/// parsed bytes. Lookups by tag return the *first* matching section, as
+/// [`Store::get`] does.
+#[derive(Debug, Default, Clone)]
+pub struct StoreView<'a> {
+    sections: Vec<(&'a str, &'a [u8])>,
+}
+
+impl<'a> StoreView<'a> {
+    /// Parses an `EVDB` container strictly: a bad header, a truncated
+    /// section or trailing bytes are errors.
+    ///
+    /// # Errors
+    ///
+    /// [`DbError::Corrupt`] on malformed input.
+    pub fn from_bytes(data: &'a [u8]) -> Result<StoreView<'a>, DbError> {
+        let mut dec = Decoder::new(data);
+        let mut magic = [0u8; 4];
+        for b in &mut magic {
+            *b = dec.u8()?;
+        }
+        if &magic != MAGIC {
+            return Err(DbError::Corrupt(format!("bad magic {magic:?}")));
+        }
+        let version = dec.u8()?;
+        if version != VERSION {
+            return Err(DbError::Corrupt(format!(
+                "unsupported version {version} (supported: {VERSION})"
+            )));
+        }
+        let count = dec.u32()? as usize;
+        let mut sections = Vec::with_capacity(count.min(1024));
+        for _ in 0..count {
+            let tag = dec.str_ref()?;
+            let blob = dec.bytes()?;
+            sections.push((tag, blob));
+        }
+        if !dec.is_exhausted() {
+            return Err(DbError::Corrupt(format!(
+                "{} trailing bytes after last section",
+                dec.remaining()
+            )));
+        }
+        Ok(StoreView { sections })
+    }
+
+    /// Parses file bytes in either layout, by magic: the atomic `EVDB`
+    /// container strictly, a segmented `EVSG` recording by salvage (see
+    /// [`Store::load`]).
+    ///
+    /// # Errors
+    ///
+    /// Corruption, as for [`StoreView::from_bytes`] and
+    /// [`Store::salvage_segmented`].
+    pub fn read(data: &'a [u8]) -> Result<StoreView<'a>, DbError> {
+        if data.starts_with(SEG_MAGIC) {
+            return parse_segmented(data).map(|(view, _, _)| view);
+        }
+        StoreView::from_bytes(data)
+    }
+
+    /// Decodes the table for record type `R` from the first section
+    /// tagged `R::TAG`.
+    ///
+    /// # Errors
+    ///
+    /// [`DbError::MissingTable`] if no section carries `R::TAG`;
+    /// [`DbError::Corrupt`] if the section fails to decode cleanly
+    /// (including trailing bytes).
+    pub fn get<R: Record>(&self) -> Result<Table<R>, DbError> {
+        let blob = self
+            .sections
+            .iter()
+            .find(|(tag, _)| *tag == R::TAG)
+            .map(|(_, blob)| *blob)
+            .ok_or(DbError::MissingTable(R::TAG))?;
+        let mut dec = Decoder::new(blob);
+        let table = Table::<R>::decode(&mut dec)?;
+        if !dec.is_exhausted() {
+            return Err(DbError::Corrupt(format!(
+                "{} trailing bytes after table `{}`",
+                dec.remaining(),
+                R::TAG
+            )));
+        }
+        Ok(table)
+    }
+
+    /// Copies the sections into an owned [`Store`].
+    fn to_store(&self) -> Store {
+        Store {
+            sections: self
+                .sections
+                .iter()
+                .map(|(tag, blob)| (tag.to_string(), blob.to_vec()))
+                .collect(),
+        }
+    }
+
+    /// Adds a segmented frame: a later snapshot replaces an earlier one.
+    fn replace(&mut self, tag: &'a str, blob: &'a [u8]) {
+        if let Some(slot) = self.sections.iter_mut().find(|(t, _)| *t == tag) {
+            slot.1 = blob;
+        } else {
+            self.sections.push((tag, blob));
+        }
+    }
 }
 
 /// A set of encoded tables, addressable by their [`Record::TAG`], with
@@ -95,6 +292,17 @@ impl Store {
         }
     }
 
+    /// Borrows the sections as a [`StoreView`].
+    pub fn view(&self) -> StoreView<'_> {
+        StoreView {
+            sections: self
+                .sections
+                .iter()
+                .map(|(tag, blob)| (tag.as_str(), blob.as_slice()))
+                .collect(),
+        }
+    }
+
     /// Decodes the table for record type `R`.
     ///
     /// # Errors
@@ -103,22 +311,7 @@ impl Store {
     /// [`DbError::Corrupt`] if the section fails to decode cleanly
     /// (including trailing bytes).
     pub fn get<R: Record>(&self) -> Result<Table<R>, DbError> {
-        let blob = self
-            .sections
-            .iter()
-            .find(|(tag, _)| tag == R::TAG)
-            .map(|(_, blob)| blob)
-            .ok_or(DbError::MissingTable(R::TAG))?;
-        let mut dec = Decoder::new(blob);
-        let table = Table::<R>::decode(&mut dec)?;
-        if !dec.is_exhausted() {
-            return Err(DbError::Corrupt(format!(
-                "{} trailing bytes after table `{}`",
-                dec.remaining(),
-                R::TAG
-            )));
-        }
-        Ok(table)
+        self.view().get()
     }
 
     /// Tags of all sections in insertion order.
@@ -161,49 +354,20 @@ impl Store {
 
     /// Serialises the store to bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut enc = Encoder::new();
-        for b in MAGIC {
-            enc.u8(*b);
-        }
-        enc.u8(VERSION);
-        enc.u32(u32::try_from(self.sections.len()).expect("too many sections"));
+        let mut out = StoreEncoder::new();
         for (tag, blob) in &self.sections {
-            enc.str(tag);
-            enc.bytes(blob);
+            out.section(tag, |enc| enc.raw(blob));
         }
-        enc.into_bytes()
+        out.into_bytes()
     }
 
-    /// Parses a store from bytes.
+    /// Parses a store from bytes (strictly; see [`StoreView::from_bytes`]).
+    ///
+    /// # Errors
+    ///
+    /// [`DbError::Corrupt`] on malformed input.
     pub fn from_bytes(data: &[u8]) -> Result<Store, DbError> {
-        let mut dec = Decoder::new(data);
-        let mut magic = [0u8; 4];
-        for b in &mut magic {
-            *b = dec.u8()?;
-        }
-        if &magic != MAGIC {
-            return Err(DbError::Corrupt(format!("bad magic {magic:?}")));
-        }
-        let version = dec.u8()?;
-        if version != VERSION {
-            return Err(DbError::Corrupt(format!(
-                "unsupported version {version} (supported: {VERSION})"
-            )));
-        }
-        let count = dec.u32()? as usize;
-        let mut sections = Vec::with_capacity(count.min(1024));
-        for _ in 0..count {
-            let tag = dec.str()?;
-            let blob = dec.bytes()?.to_vec();
-            sections.push((tag, blob));
-        }
-        if !dec.is_exhausted() {
-            return Err(DbError::Corrupt(format!(
-                "{} trailing bytes after last section",
-                dec.remaining()
-            )));
-        }
-        Ok(Store { sections })
+        StoreView::from_bytes(data).map(|view| view.to_store())
     }
 
     /// Writes the store to a file.
@@ -227,10 +391,7 @@ impl Store {
     /// Propagates filesystem errors and corruption.
     pub fn load(path: impl AsRef<Path>) -> Result<Store, DbError> {
         let data = fs::read(path)?;
-        if data.starts_with(SEG_MAGIC) {
-            return Store::salvage_segmented(&data).map(|(store, _)| store);
-        }
-        Store::from_bytes(&data)
+        StoreView::read(&data).map(|view| view.to_store())
     }
 
     // ------------------------------------------------------------------
@@ -256,12 +417,12 @@ impl Store {
     /// [`DbError::Corrupt`] on a bad header;
     /// [`DbError::TruncatedFrame`] when the data ends in a torn frame.
     pub fn from_segmented_bytes(data: &[u8]) -> Result<Store, DbError> {
-        let (store, dropped, torn) = Store::parse_segmented(data)?;
+        let (view, dropped, torn) = parse_segmented(data)?;
         if dropped > 0 {
             let (table, offset) = torn.expect("dropped bytes imply a torn frame");
             return Err(DbError::TruncatedFrame { table, offset });
         }
-        Ok(store)
+        Ok(view.to_store())
     }
 
     /// Parses a segmented recording, salvaging a torn tail: frames are
@@ -274,66 +435,56 @@ impl Store {
     /// [`DbError::Corrupt`] only when the header itself is bad — a file
     /// that never got past `open_segmented` is not a recording at all.
     pub fn salvage_segmented(data: &[u8]) -> Result<(Store, usize), DbError> {
-        let (store, dropped, _) = Store::parse_segmented(data)?;
-        Ok((store, dropped))
+        let (view, dropped, _) = parse_segmented(data)?;
+        Ok((view.to_store(), dropped))
     }
+}
 
-    /// Walks segmented frames. Returns the store of valid frames (last
-    /// snapshot per tag wins), the count of dropped tail bytes, and the
-    /// torn frame's (tag, offset) when there is one.
-    #[allow(clippy::type_complexity)]
-    fn parse_segmented(data: &[u8]) -> Result<(Store, usize, Option<(String, usize)>), DbError> {
-        if data.len() < SEG_MAGIC.len() + 1 || &data[..4] != SEG_MAGIC {
-            return Err(DbError::Corrupt("bad segmented magic".into()));
-        }
-        let version = data[4];
-        if version != SEG_VERSION {
-            return Err(DbError::Corrupt(format!(
-                "unsupported segmented version {version} (supported: {SEG_VERSION})"
-            )));
-        }
-        let mut store = Store::new();
-        let mut pos = SEG_MAGIC.len() + 1;
-        while pos < data.len() {
-            let frame = &data[pos..];
-            let mut dec = Decoder::new(frame);
-            let tag = match dec.str() {
-                Ok(tag) => tag,
-                Err(_) => {
-                    return Ok((store, data.len() - pos, Some(("?".into(), pos))));
-                }
-            };
-            let blob = match dec.bytes() {
-                Ok(blob) => blob.to_vec(),
-                Err(_) => {
-                    return Ok((store, data.len() - pos, Some((tag, pos))));
-                }
-            };
-            let body_len = frame.len() - dec.remaining();
-            let stored_crc = match dec.u32() {
-                Ok(crc) => crc,
-                Err(_) => {
-                    return Ok((store, data.len() - pos, Some((tag, pos))));
-                }
-            };
-            if stored_crc != crc32(&frame[..body_len]) {
-                // A bad checksum means the kill landed inside this frame's
-                // body; everything before it is still good.
-                return Ok((store, data.len() - pos, Some((tag, pos))));
-            }
-            store.put_section(tag, blob);
-            pos += frame.len() - dec.remaining();
-        }
-        Ok((store, 0, None))
+impl TableSink for Store {
+    fn put<R: Record>(&mut self, table: &Table<R>) {
+        Store::put(self, table);
     }
+}
 
-    fn put_section(&mut self, tag: String, blob: Vec<u8>) {
-        if let Some(slot) = self.sections.iter_mut().find(|(t, _)| *t == tag) {
-            slot.1 = blob;
-        } else {
-            self.sections.push((tag, blob));
-        }
+/// Walks segmented frames. Returns the view of valid frames (last
+/// snapshot per tag wins), the count of dropped tail bytes, and the torn
+/// frame's (tag, offset) when there is one.
+#[allow(clippy::type_complexity)]
+fn parse_segmented(
+    data: &[u8],
+) -> Result<(StoreView<'_>, usize, Option<(String, usize)>), DbError> {
+    if data.len() < SEG_MAGIC.len() + 1 || &data[..4] != SEG_MAGIC {
+        return Err(DbError::Corrupt("bad segmented magic".into()));
     }
+    let version = data[4];
+    if version != SEG_VERSION {
+        return Err(DbError::Corrupt(format!(
+            "unsupported segmented version {version} (supported: {SEG_VERSION})"
+        )));
+    }
+    let mut view = StoreView::default();
+    let mut pos = SEG_MAGIC.len() + 1;
+    while pos < data.len() {
+        let frame = &data[pos..];
+        let torn = |tag: &str| Some((tag.to_string(), pos));
+        let mut dec = Decoder::new(frame);
+        let Ok(tag) = dec.str_ref() else {
+            return Ok((view, data.len() - pos, torn("?")));
+        };
+        let Ok(blob) = dec.bytes() else {
+            return Ok((view, data.len() - pos, torn(tag)));
+        };
+        let body_len = frame.len() - dec.remaining();
+        // A missing or bad checksum means the kill landed inside this
+        // frame; everything before it is still good.
+        match dec.u32() {
+            Ok(crc) if crc == crc32(&frame[..body_len]) => {}
+            _ => return Ok((view, data.len() - pos, torn(tag))),
+        }
+        view.replace(tag, blob);
+        pos += frame.len() - dec.remaining();
+    }
+    Ok((view, 0, None))
 }
 
 /// Appends checksummed table frames to a segmented recording as the run
@@ -371,7 +522,9 @@ impl<W: Write> SegmentedWriter<W> {
     pub fn append<R: Record>(&mut self, table: &Table<R>) -> Result<(), DbError> {
         let mut enc = Encoder::new();
         table.encode(&mut enc);
-        self.append_frame(R::TAG, &enc.into_bytes())
+        self.write_frame(R::TAG, &enc.into_bytes())?;
+        self.out.flush()?;
+        Ok(())
     }
 
     /// Appends every section of `store` as a frame (one flush at the end),
@@ -388,23 +541,19 @@ impl<W: Write> SegmentedWriter<W> {
         Ok(())
     }
 
-    fn append_frame(&mut self, tag: &str, blob: &[u8]) -> Result<(), DbError> {
-        self.write_frame(tag, blob)?;
-        self.out.flush()?;
-        Ok(())
-    }
-
+    /// Writes `tag`, `blob` and their CRC-32 straight to the output: the
+    /// checksum runs over the same pieces as they are written.
     fn write_frame(&mut self, tag: &str, blob: &[u8]) -> Result<(), DbError> {
-        let mut enc = Encoder::new();
-        enc.str(tag);
-        enc.bytes(blob);
-        let body = enc.into_bytes();
-        let mut frame = body;
-        let crc = crc32(&frame);
-        let mut tail = Encoder::new();
-        tail.u32(crc);
-        frame.extend_from_slice(&tail.into_bytes());
-        self.out.write_all(&frame)?;
+        let mut crc = !0;
+        for piece in [tag.as_bytes(), blob] {
+            let len = u32::try_from(piece.len())
+                .expect("blob larger than 4 GiB")
+                .to_le_bytes();
+            crc = crc32_update(crc32_update(crc, &len), piece);
+            self.out.write_all(&len)?;
+            self.out.write_all(piece)?;
+        }
+        self.out.write_all(&(!crc).to_le_bytes())?;
         Ok(())
     }
 }
@@ -448,6 +597,51 @@ mod tests {
         s.put(&ta);
         s.put(&tb);
         s
+    }
+
+    #[test]
+    fn one_pass_encoder_writes_the_store_bytes() {
+        let mut ta = Table::new();
+        ta.insert(A(1));
+        ta.insert(A(2));
+        let mut tb = Table::new();
+        tb.insert(B("x".into()));
+        let mut out = StoreEncoder::new();
+        TableSink::put(&mut out, &ta);
+        TableSink::put(&mut out, &tb);
+        assert_eq!(out.into_bytes(), sample_store().to_bytes());
+        assert_eq!(StoreEncoder::new().into_bytes(), Store::new().to_bytes());
+    }
+
+    #[test]
+    fn view_borrows_sections_and_the_first_duplicate_wins() {
+        let mut s = sample_store();
+        let mut first = Encoder::new();
+        Table::from_iter([A(7)]).encode(&mut first);
+        s.sections.insert(0, ("a".into(), first.into_bytes()));
+        let bytes = s.to_bytes();
+        let view = StoreView::from_bytes(&bytes).unwrap();
+        let ta: Table<A> = view.get().unwrap();
+        assert_eq!(ta.iter().map(|a| a.0).collect::<Vec<_>>(), vec![7]);
+        let owned = Store::from_bytes(&bytes).unwrap();
+        assert_eq!(owned.tags(), vec!["a", "a", "b"]);
+        assert_eq!(owned.get::<A>().unwrap(), ta);
+        assert_eq!(owned.to_bytes(), bytes);
+    }
+
+    #[test]
+    fn crc32_known_answer() {
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn segmented_frame_is_tag_blob_then_crc() {
+        let mut w = SegmentedWriter::new(Vec::new()).unwrap();
+        w.write_frame("ab", &[1, 2, 3]).unwrap();
+        let body = [2, 0, 0, 0, b'a', b'b', 3, 0, 0, 0, 1, 2, 3];
+        let expected = [&b"EVSG\x01"[..], &body, &crc32(&body).to_le_bytes()].concat();
+        assert_eq!(w.into_inner(), expected);
     }
 
     #[test]

@@ -38,6 +38,7 @@
 //!   unverdictable (incomplete beats regressed: a gate over missing
 //!   cells is not trustworthy).
 
+use std::collections::HashMap;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -528,7 +529,7 @@ fn col_width(lens: impl Iterator<Item = usize>, header: usize) -> usize {
 }
 
 /// FNV-1a 64 over a byte slice — the manifest's trace checksum.
-fn fnv1a(bytes: &[u8]) -> u64 {
+pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= u64::from(b);
@@ -965,6 +966,9 @@ pub fn run(
         threshold: f64::from(plan.spec.threshold_pct) / 100.0,
         ..DiffConfig::default()
     };
+    // Each baseline is decoded once, by the first cell of its group that
+    // needs it, and shared by the rest of the group.
+    let mut baselines: HashMap<usize, TraceDb> = HashMap::new();
     let cells = cells
         .iter()
         .map(|coord| {
@@ -977,9 +981,11 @@ pub fn run(
                     // verdicted — skipped, not failed.
                     None => (CellVerdict::Skipped, 0.0),
                     Some(base) => {
-                        let a = TraceDb::from_bytes(base).expect("baseline trace");
+                        let a = baselines
+                            .entry(coord.baseline)
+                            .or_insert_with(|| TraceDb::from_bytes(base).expect("baseline trace"));
                         let b = TraceDb::from_bytes(bytes).expect("cell trace");
-                        let diff = TraceDiff::compute(&a, &b, diff_config);
+                        let diff = TraceDiff::compute(a, &b, diff_config);
                         let verdict = match diff.verdict {
                             Verdict::Improvement => CellVerdict::Improved,
                             Verdict::Neutral => CellVerdict::Neutral,
