@@ -39,10 +39,11 @@
 //! cell in parallel on the simulator under the spec's `[robustness]`
 //! supervision (per-cell panic isolation, event budgets, wall-clock
 //! deadlines, retries with a flaky/broken quarantine ledger), archives
-//! one trace per cell plus a checksummed `manifest.json` (all writes
-//! atomic), and verdicts each cell against its declared baseline through
-//! the diff engine — exit 3 iff any cell regressed, exit 4 when the
-//! matrix is incomplete (broken or unverdictable cells; beats 3).
+//! one trace per cell plus the `manifest.evsg` resume journal (an eventdb
+//! segmented recording with one checksummed frame per cell), and
+//! verdicts each cell against its declared baseline through the diff
+//! engine — exit 3 iff any cell regressed, exit 4 when the matrix is
+//! incomplete (broken or unverdictable cells; beats 3).
 //! `--resume` salvages a crashed run's archive and re-runs only missing
 //! or corrupt cells. The summary (stdout) is byte-stable: times and
 //! engine/worker info go to stderr only.
@@ -50,6 +51,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use eventdb::{DbError, StoreView};
 use sgx_edl::lint::LintConfig;
 use sgx_perf::analysis::diff::{DiffConfig, TraceDiff};
 use sgx_perf::analysis::lint::lint_interface;
@@ -368,7 +370,7 @@ fn run_fleet(rest: &[String]) -> Result<ExitCode, String> {
 /// Cells run supervised per the spec's `[robustness]` section: panics,
 /// budget/deadline timeouts and archive I/O errors fail only their cell,
 /// retried up to `retries` times and quarantined in the summary ledger.
-/// `--resume` revalidates the archive's `manifest.json` from an
+/// `--resume` walks the archive's `manifest.evsg` journal from an
 /// interrupted run and re-runs only missing or corrupt cells.
 ///
 /// Exit status: 0 when every cell completed and none regressed past the
@@ -471,7 +473,16 @@ fn run() -> Result<ExitCode, String> {
         return run_campaign(rest);
     }
     let (path, opts) = rest.split_first().ok_or("missing trace file")?;
-    let trace = TraceDb::load(path).map_err(|e| format!("cannot load {path}: {e}"))?;
+    let cannot_load = |e: DbError| format!("cannot load {path}: {e}");
+    let data = std::fs::read(path).map_err(|e| cannot_load(e.into()))?;
+    let view = StoreView::read(&data).map_err(cannot_load)?;
+    let trace = TraceDb::from_view(&view).map_err(cannot_load)?;
+    // `info` lists the physical layout from the same view — row counts and
+    // byte sizes per section without decoding any records. The file
+    // buffer is not kept past this point.
+    let layout =
+        (cmd == "info").then(|| (view.payload_bytes(), view.sections().collect::<Vec<_>>()));
+    drop(data);
 
     let mut profile = HwProfile::Unpatched;
     let mut edl: Option<sgx_edl::InterfaceSpec> = None;
@@ -606,12 +617,9 @@ fn run() -> Result<ExitCode, String> {
                 trace.enclaves.len(),
                 trace.symbols.len()
             );
-            // Physical layout, via the store's enumeration API — row counts
-            // and byte sizes per section without decoding any records.
-            let store =
-                eventdb::Store::load(path).map_err(|e| format!("cannot load {path}: {e}"))?;
-            println!("sections ({} payload bytes):", store.payload_bytes());
-            for info in store.sections() {
+            let (payload, sections) = layout.expect("layout read for info");
+            println!("sections ({payload} payload bytes):");
+            for info in sections {
                 let info = info.map_err(|e| format!("{path}: {e}"))?;
                 println!(
                     "  {:<12} {:>8} rows {:>10} bytes",

@@ -677,7 +677,7 @@ fn campaign_neutral_matrix_exits_zero_and_is_byte_stable() {
         "ecall_storm-unpatched-none-off-s2.evdb",
         "summary.txt",
         "summary.json",
-        "manifest.json",
+        "manifest.evsg",
     ] {
         assert!(out_a.join(file).exists(), "{file} missing");
     }

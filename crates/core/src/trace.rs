@@ -126,8 +126,13 @@ impl TraceDb {
         TraceDb::from_view(&store.view())
     }
 
-    /// Decodes every table from a container parsed in place.
-    fn from_view(view: &StoreView<'_>) -> Result<TraceDb, DbError> {
+    /// Decodes every table from a container parsed in place (see
+    /// [`StoreView::read`]).
+    ///
+    /// # Errors
+    ///
+    /// Corruption or missing tables.
+    pub fn from_view(view: &StoreView<'_>) -> Result<TraceDb, DbError> {
         Ok(TraceDb {
             ecalls: view.get()?,
             ocalls: view.get()?,

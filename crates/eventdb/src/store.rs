@@ -33,9 +33,11 @@
 //!   crc   u32             CRC-32 over the frame's tag+blob bytes
 //! ```
 //!
-//! Frames are full-table snapshots; [`Store::load`] keeps the *last* valid
-//! frame per tag and salvages a torn tail back to the last valid frame
-//! boundary.
+//! [`Frames`] walks the frames in file order and stops at the first torn
+//! or CRC-bad one. For recordings, frames are full-table snapshots:
+//! [`Store::load`] keeps the *last* valid frame per tag and salvages a torn
+//! tail back to the last valid frame boundary. Journals that append one
+//! entry per frame walk [`Frames`] themselves.
 
 use std::fs;
 use std::io::Write;
@@ -89,7 +91,7 @@ fn crc32(data: &[u8]) -> u32 {
     !crc32_update(!0, data)
 }
 
-/// Shape of one section, produced by [`Store::sections`] without decoding
+/// Shape of one section, produced by [`StoreView::sections`] without decoding
 /// the section's records.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SectionInfo {
@@ -213,7 +215,7 @@ impl<'a> StoreView<'a> {
     /// [`Store::salvage_segmented`].
     pub fn read(data: &'a [u8]) -> Result<StoreView<'a>, DbError> {
         if data.starts_with(SEG_MAGIC) {
-            return parse_segmented(data).map(|(view, _, _)| view);
+            return last_wins(data).map(|(view, _)| view);
         }
         StoreView::from_bytes(data)
     }
@@ -243,6 +245,38 @@ impl<'a> StoreView<'a> {
             )));
         }
         Ok(table)
+    }
+
+    /// Enumerates sections in order *without decoding records*: the row
+    /// count is read from each blob's count prefix and the byte size is
+    /// the blob length, so the cost is O(sections), not O(rows). Tools
+    /// that only need shape (`sgxperf info`, fault-row counts) use this
+    /// instead of [`StoreView::get`].
+    ///
+    /// # Errors
+    ///
+    /// Each item is [`DbError::Corrupt`] if that section is too short to
+    /// carry a count prefix — the containing store may still be usable.
+    pub fn sections(self) -> impl Iterator<Item = Result<SectionInfo, DbError>> + 'a {
+        self.sections.into_iter().map(|(tag, blob)| {
+            let rows = Decoder::new(blob).u64().map_err(|_| {
+                DbError::Corrupt(format!(
+                    "section `{tag}` too short for a row-count prefix ({} bytes)",
+                    blob.len()
+                ))
+            })?;
+            Ok(SectionInfo {
+                tag: tag.to_string(),
+                rows,
+                bytes: blob.len(),
+            })
+        })
+    }
+
+    /// Total encoded payload bytes across all sections (excluding the
+    /// container header and tag strings).
+    pub fn payload_bytes(&self) -> usize {
+        self.sections.iter().map(|(_, blob)| blob.len()).sum()
     }
 
     /// Copies the sections into an owned [`Store`].
@@ -319,37 +353,20 @@ impl Store {
         self.sections.iter().map(|(tag, _)| tag.as_str()).collect()
     }
 
-    /// Enumerates sections in insertion order *without decoding records*:
-    /// the row count is read from each blob's count prefix and the byte
-    /// size is the blob length, so the cost is O(sections), not O(rows).
-    /// Tools that only need shape (`sgxperf info`, exporters sizing their
-    /// output) use this instead of [`Store::get`].
+    /// Enumerates sections in insertion order without decoding records
+    /// (see [`StoreView::sections`]).
     ///
     /// # Errors
     ///
-    /// Each item is [`DbError::Corrupt`] if that section is too short to
-    /// carry a count prefix — the containing store may still be usable.
+    /// As for [`StoreView::sections`].
     pub fn sections(&self) -> impl Iterator<Item = Result<SectionInfo, DbError>> + '_ {
-        self.sections.iter().map(|(tag, blob)| {
-            let mut dec = Decoder::new(blob);
-            let rows = dec.u64().map_err(|_| {
-                DbError::Corrupt(format!(
-                    "section `{tag}` too short for a row-count prefix ({} bytes)",
-                    blob.len()
-                ))
-            })?;
-            Ok(SectionInfo {
-                tag: tag.clone(),
-                rows,
-                bytes: blob.len(),
-            })
-        })
+        self.view().sections()
     }
 
-    /// Total encoded payload bytes across all sections (excluding the
-    /// container header and tag strings).
+    /// Total encoded payload bytes across all sections (see
+    /// [`StoreView::payload_bytes`]).
     pub fn payload_bytes(&self) -> usize {
-        self.sections.iter().map(|(_, blob)| blob.len()).sum()
+        self.view().payload_bytes()
     }
 
     /// Serialises the store to bytes.
@@ -417,10 +434,14 @@ impl Store {
     /// [`DbError::Corrupt`] on a bad header;
     /// [`DbError::TruncatedFrame`] when the data ends in a torn frame.
     pub fn from_segmented_bytes(data: &[u8]) -> Result<Store, DbError> {
-        let (view, dropped, torn) = parse_segmented(data)?;
-        if dropped > 0 {
-            let (table, offset) = torn.expect("dropped bytes imply a torn frame");
-            return Err(DbError::TruncatedFrame { table, offset });
+        let (view, offset) = last_wins(data)?;
+        if offset < data.len() {
+            // "?" when even the torn frame's tag is cut.
+            let table = Decoder::new(&data[offset..]).str_ref().unwrap_or("?");
+            return Err(DbError::TruncatedFrame {
+                table: table.to_string(),
+                offset,
+            });
         }
         Ok(view.to_store())
     }
@@ -435,8 +456,8 @@ impl Store {
     /// [`DbError::Corrupt`] only when the header itself is bad — a file
     /// that never got past `open_segmented` is not a recording at all.
     pub fn salvage_segmented(data: &[u8]) -> Result<(Store, usize), DbError> {
-        let (view, dropped, _) = parse_segmented(data)?;
-        Ok((view.to_store(), dropped))
+        let (view, end) = last_wins(data)?;
+        Ok((view.to_store(), data.len() - end))
     }
 }
 
@@ -446,45 +467,99 @@ impl TableSink for Store {
     }
 }
 
-/// Walks segmented frames. Returns the view of valid frames (last
-/// snapshot per tag wins), the count of dropped tail bytes, and the torn
-/// frame's (tag, offset) when there is one.
-#[allow(clippy::type_complexity)]
-fn parse_segmented(
-    data: &[u8],
-) -> Result<(StoreView<'_>, usize, Option<(String, usize)>), DbError> {
-    if data.len() < SEG_MAGIC.len() + 1 || &data[..4] != SEG_MAGIC {
-        return Err(DbError::Corrupt("bad segmented magic".into()));
+/// One CRC-valid frame of a segmented recording; tag and blob borrow the
+/// recording's bytes.
+#[derive(Debug, Clone, Copy)]
+pub struct Frame<'a> {
+    /// The table tag.
+    pub tag: &'a str,
+    /// The encoded table.
+    pub blob: &'a [u8],
+}
+
+impl Frame<'_> {
+    /// Decodes the frame's table as record type `R`.
+    ///
+    /// # Errors
+    ///
+    /// [`DbError::MissingTable`] if the frame is not tagged `R::TAG`;
+    /// [`DbError::Corrupt`] if the blob fails to decode cleanly.
+    pub fn get<R: Record>(&self) -> Result<Table<R>, DbError> {
+        let view = StoreView {
+            sections: vec![(self.tag, self.blob)],
+        };
+        view.get()
     }
-    let version = data[4];
-    if version != SEG_VERSION {
-        return Err(DbError::Corrupt(format!(
-            "unsupported segmented version {version} (supported: {SEG_VERSION})"
-        )));
+}
+
+/// Walks the frames of a segmented recording in file order. The walk ends
+/// at the end of the data or at the first torn or CRC-bad frame: the
+/// frames after a bad one cannot be trusted to start where it claims to
+/// end. [`Frames::offset`] then tells where the valid prefix stops.
+#[derive(Debug, Clone)]
+pub struct Frames<'a> {
+    data: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Frames<'a> {
+    /// Checks the `EVSG` header and starts the walk after it.
+    ///
+    /// # Errors
+    ///
+    /// [`DbError::Corrupt`] on a bad magic or an unsupported version.
+    pub fn new(data: &'a [u8]) -> Result<Frames<'a>, DbError> {
+        if data.len() < SEG_MAGIC.len() + 1 || &data[..4] != SEG_MAGIC {
+            return Err(DbError::Corrupt("bad segmented magic".into()));
+        }
+        let version = data[4];
+        if version != SEG_VERSION {
+            return Err(DbError::Corrupt(format!(
+                "unsupported segmented version {version} (supported: {SEG_VERSION})"
+            )));
+        }
+        Ok(Frames {
+            data,
+            pos: SEG_MAGIC.len() + 1,
+        })
     }
-    let mut view = StoreView::default();
-    let mut pos = SEG_MAGIC.len() + 1;
-    while pos < data.len() {
-        let frame = &data[pos..];
-        let torn = |tag: &str| Some((tag.to_string(), pos));
+
+    /// Byte offset just past the last frame yielded (the header's end
+    /// before the first). Once the walk has ended, everything from here
+    /// on is a torn or corrupt tail.
+    pub fn offset(&self) -> usize {
+        self.pos
+    }
+}
+
+impl<'a> Iterator for Frames<'a> {
+    type Item = Frame<'a>;
+
+    fn next(&mut self) -> Option<Frame<'a>> {
+        let frame = &self.data[self.pos..];
         let mut dec = Decoder::new(frame);
-        let Ok(tag) = dec.str_ref() else {
-            return Ok((view, data.len() - pos, torn("?")));
-        };
-        let Ok(blob) = dec.bytes() else {
-            return Ok((view, data.len() - pos, torn(tag)));
-        };
+        let tag = dec.str_ref().ok()?;
+        let blob = dec.bytes().ok()?;
         let body_len = frame.len() - dec.remaining();
         // A missing or bad checksum means the kill landed inside this
         // frame; everything before it is still good.
-        match dec.u32() {
-            Ok(crc) if crc == crc32(&frame[..body_len]) => {}
-            _ => return Ok((view, data.len() - pos, torn(tag))),
+        if dec.u32().ok()? != crc32(&frame[..body_len]) {
+            return None;
         }
-        view.replace(tag, blob);
-        pos += frame.len() - dec.remaining();
+        self.pos += frame.len() - dec.remaining();
+        Some(Frame { tag, blob })
     }
-    Ok((view, 0, None))
+}
+
+/// Folds a segmented recording's valid frames into a view (last snapshot
+/// per tag wins) and returns it with the end offset of the valid prefix.
+fn last_wins(data: &[u8]) -> Result<(StoreView<'_>, usize), DbError> {
+    let mut frames = Frames::new(data)?;
+    let mut view = StoreView::default();
+    for frame in frames.by_ref() {
+        view.replace(frame.tag, frame.blob);
+    }
+    Ok((view, frames.offset()))
 }
 
 /// Appends checksummed table frames to a segmented recording as the run
@@ -808,6 +883,34 @@ mod tests {
         let (s, dropped) = Store::salvage_segmented(&data).unwrap();
         assert_eq!(s.tags(), vec!["a"]);
         assert!(dropped > 0);
+    }
+
+    #[test]
+    fn frames_yield_every_snapshot_in_order_and_stop_at_a_bad_one() {
+        let data = segmented_bytes();
+        let mut frames = Frames::new(&data).unwrap();
+        assert_eq!(frames.offset(), 5);
+        let mut ends = Vec::new();
+        let mut tags = Vec::new();
+        while let Some(frame) = frames.next() {
+            tags.push(frame.tag);
+            ends.push(frames.offset());
+        }
+        assert_eq!(tags, vec!["a", "a", "b"]);
+        assert_eq!(ends.last(), Some(&data.len()));
+        let second: Table<A> = Frames::new(&data).unwrap().nth(1).unwrap().get().unwrap();
+        assert_eq!(second.len(), 2);
+        assert!(matches!(
+            Frames::new(&data).unwrap().nth(2).unwrap().get::<A>(),
+            Err(DbError::MissingTable("a"))
+        ));
+        // A bad checksum in the second frame ends the walk after the first,
+        // even though the third frame is intact.
+        let mut bad = data.clone();
+        bad[ends[1] - 1] ^= 0xff;
+        let mut frames = Frames::new(&bad).unwrap();
+        assert_eq!(frames.by_ref().count(), 1);
+        assert_eq!(frames.offset(), ends[0]);
     }
 
     #[test]

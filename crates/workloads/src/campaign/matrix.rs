@@ -28,23 +28,29 @@
 //!   with exponential backoff; a cell that then passes is `flaky`, one
 //!   that exhausts its attempts is `broken`. Both classes surface in the
 //!   summary's quarantine ledger and in `summary.json`.
-//! * **Crash safety** — traces, summaries and a checksummed
-//!   `manifest.json` are written atomically (tmp file + rename), the
-//!   manifest after every cell; [`run`] with `resume` validates archived
-//!   traces against it and re-runs only missing or corrupt cells,
-//!   producing byte-identical summaries to an uninterrupted run.
+//! * **Crash safety** — traces and summaries are written atomically (tmp
+//!   file + rename). The resume journal `manifest.evsg` is an eventdb
+//!   segmented recording: a spec frame, then one CRC-checked frame per
+//!   finished cell, appended as the cell finishes and rewritten once in
+//!   index order at the end of the run. [`run`] with `resume` walks the
+//!   journal up to its first torn or bad frame, validates archived traces
+//!   against it and re-runs only missing or corrupt cells, producing an
+//!   archive byte-identical to an uninterrupted run.
 //! * **Exit contract** — 0 clean, [`REGRESSION_EXIT_CODE`] (3) when the
 //!   gate trips, [`INCOMPLETE_EXIT_CODE`] (4) when any cell is broken or
 //!   unverdictable (incomplete beats regressed: a gate over missing
 //!   cells is not trustworthy).
 
 use std::collections::HashMap;
+use std::fs::File;
+use std::io::BufWriter;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
 use std::time::Duration;
 
+use eventdb::{DbError, Decoder, Encoder, Frames, Record, SegmentedWriter, Table};
 use sgx_perf::analysis::diff::{DiffConfig, TraceDiff, Verdict, REGRESSION_EXIT_CODE};
 use sgx_perf::{json, Logger, LoggerConfig, TraceDb};
 use sim_core::campaign::{CampaignSpec, CellCoord, SwitchlessAxis};
@@ -271,16 +277,6 @@ impl CellOutcome {
             CellOutcome::Ok => "",
             CellOutcome::Panicked(m) | CellOutcome::TimedOut(m) | CellOutcome::IoError(m) => m,
         }
-    }
-
-    fn from_label(label: &str, detail: &str) -> Option<CellOutcome> {
-        Some(match label {
-            "ok" => CellOutcome::Ok,
-            "panicked" => CellOutcome::Panicked(detail.to_string()),
-            "timed-out" => CellOutcome::TimedOut(detail.to_string()),
-            "io-error" => CellOutcome::IoError(detail.to_string()),
-            _ => return None,
-        })
     }
 }
 
@@ -528,7 +524,7 @@ fn col_width(lens: impl Iterator<Item = usize>, header: usize) -> usize {
     lens.fold(header, usize::max)
 }
 
-/// FNV-1a 64 over a byte slice — the manifest's trace checksum.
+/// FNV-1a 64 over a byte slice — the journal's trace and spec checksum.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -536,43 +532,6 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x100_0000_01b3);
     }
     h
-}
-
-/// Extracts and unescapes the string value of `"key": "..."` from one
-/// manifest line. Returns `None` on any malformation — the caller treats
-/// that as a corrupt entry and re-runs the cell.
-fn json_str_field(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\": \"");
-    let start = line.find(&pat)? + pat.len();
-    let mut out = String::new();
-    let mut chars = line[start..].chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                'n' => out.push('\n'),
-                'r' => out.push('\r'),
-                't' => out.push('\t'),
-                'u' => {
-                    let hex: String = (&mut chars).take(4).collect();
-                    out.push(char::from_u32(u32::from_str_radix(&hex, 16).ok()?)?);
-                }
-                c => out.push(c),
-            },
-            c => out.push(c),
-        }
-    }
-    None
-}
-
-/// Extracts the raw (unquoted) value of `"key": value` from one manifest
-/// line.
-fn json_raw_field(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\": ");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest.find([',', '}'])?;
-    Some(rest[..end].trim().to_string())
 }
 
 /// Atomically writes `bytes` to `path` via a sibling tmp file + rename,
@@ -588,8 +547,28 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), String> {
     std::fs::rename(&tmp, path).map_err(|e| format!("rename to {}: {e}", path.display()))
 }
 
-/// One row of `manifest.json`: a completed cell with enough information
-/// to revalidate its archived trace on resume.
+/// The resume journal in an output directory. Not `*.evdb`: that
+/// extension marks the cell traces.
+const JOURNAL: &str = "manifest.evsg";
+
+/// The journal's first frame: the FNV-1a checksum of the canonical spec
+/// that produced the archive.
+struct SpecRow(u64);
+
+impl Record for SpecRow {
+    const TAG: &'static str = "spec";
+
+    fn encode(&self, out: &mut Encoder) {
+        out.u64(self.0);
+    }
+
+    fn decode(r: &mut Decoder<'_>) -> Result<Self, DbError> {
+        Ok(SpecRow(r.u64()?))
+    }
+}
+
+/// One journal row: a completed cell with enough information to
+/// revalidate its archived trace on resume.
 #[derive(Debug, Clone)]
 struct ManifestEntry {
     index: usize,
@@ -601,55 +580,90 @@ struct ManifestEntry {
     checksum: u64,
 }
 
-fn render_manifest(spec_checksum: u64, entries: &[ManifestEntry]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"spec_checksum\": \"{spec_checksum:016x}\",\n"));
-    out.push_str("  \"cells\": [\n");
-    for (i, e) in entries.iter().enumerate() {
-        let comma = if i + 1 == entries.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"index\": {}, \"file\": \"{}\", \"outcome\": \"{}\", \
-             \"detail\": {}, \"attempts\": {}, \"flaky\": {}, \
-             \"bytes\": {}, \"checksum\": \"{:016x}\"}}{}\n",
-            e.index,
-            e.file,
-            e.outcome.label(),
-            json::string(e.outcome.detail()),
-            e.attempts,
-            e.flaky,
-            e.bytes,
-            e.checksum,
-            comma,
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-fn parse_manifest(text: &str) -> Option<(u64, Vec<ManifestEntry>)> {
-    let mut spec_checksum = None;
-    let mut entries = Vec::new();
-    for line in text.lines() {
-        let t = line.trim_start();
-        if t.starts_with("\"spec_checksum\"") {
-            spec_checksum = u64::from_str_radix(&json_str_field(line, "spec_checksum")?, 16).ok();
-        } else if t.starts_with('{') && t.contains("\"index\"") {
-            let outcome = CellOutcome::from_label(
-                &json_str_field(line, "outcome")?,
-                &json_str_field(line, "detail")?,
-            )?;
-            entries.push(ManifestEntry {
-                index: json_raw_field(line, "index")?.parse().ok()?,
-                file: json_str_field(line, "file")?,
-                outcome,
-                attempts: json_raw_field(line, "attempts")?.parse().ok()?,
-                flaky: json_raw_field(line, "flaky")? == "true",
-                bytes: json_raw_field(line, "bytes")?.parse().ok()?,
-                checksum: u64::from_str_radix(&json_str_field(line, "checksum")?, 16).ok()?,
-            });
+impl ManifestEntry {
+    fn new(plan: &MatrixPlan, coord: &CellCoord, r: &CellResult) -> ManifestEntry {
+        ManifestEntry {
+            index: coord.index,
+            file: plan.file_name(coord),
+            outcome: r.outcome.clone(),
+            attempts: r.attempts,
+            flaky: r.flaky,
+            bytes: r.trace.as_ref().map_or(0, Vec::len),
+            checksum: r.checksum,
         }
     }
-    Some((spec_checksum?, entries))
+}
+
+impl Record for ManifestEntry {
+    const TAG: &'static str = "cell";
+
+    fn encode(&self, out: &mut Encoder) {
+        out.usize(self.index);
+        out.str(&self.file);
+        out.u8(match self.outcome {
+            CellOutcome::Ok => 0,
+            CellOutcome::Panicked(_) => 1,
+            CellOutcome::TimedOut(_) => 2,
+            CellOutcome::IoError(_) => 3,
+        });
+        out.str(self.outcome.detail());
+        out.u32(self.attempts);
+        out.bool(self.flaky);
+        out.usize(self.bytes);
+        out.u64(self.checksum);
+    }
+
+    fn decode(r: &mut Decoder<'_>) -> Result<Self, DbError> {
+        let index = r.usize()?;
+        let file = r.str()?;
+        let kind = r.u8()?;
+        let detail = r.str()?;
+        let outcome = match kind {
+            0 => CellOutcome::Ok,
+            1 => CellOutcome::Panicked(detail),
+            2 => CellOutcome::TimedOut(detail),
+            3 => CellOutcome::IoError(detail),
+            k => return Err(DbError::Corrupt(format!("unknown cell outcome {k}"))),
+        };
+        Ok(ManifestEntry {
+            index,
+            file,
+            outcome,
+            attempts: r.u32()?,
+            flaky: r.bool()?,
+            bytes: r.usize()?,
+            checksum: r.u64()?,
+        })
+    }
+}
+
+/// The journal's writer. Each append flushes its frame with one write.
+type Journal = SegmentedWriter<BufWriter<File>>;
+
+/// Writes a fresh journal under `dir` (the spec frame, then one frame per
+/// finished cell in index order) by tmp file and rename, and returns its
+/// writer, still open on the renamed file, so later cells append to it.
+fn write_journal(
+    dir: &Path,
+    spec_checksum: u64,
+    plan: &MatrixPlan,
+    cells: &[CellCoord],
+    slots: &[Option<CellResult>],
+) -> Result<Journal, String> {
+    let path = dir.join(JOURNAL);
+    let tmp = dir.join(format!("{JOURNAL}.tmp"));
+    let write = || -> Result<Journal, DbError> {
+        let mut journal = SegmentedWriter::new(BufWriter::new(File::create(&tmp)?))?;
+        journal.append(&Table::from_iter([SpecRow(spec_checksum)]))?;
+        for (coord, r) in cells.iter().zip(slots) {
+            if let Some(r) = r {
+                journal.append(&Table::from_iter([ManifestEntry::new(plan, coord, r)]))?;
+            }
+        }
+        std::fs::rename(&tmp, &path)?;
+        Ok(journal)
+    };
+    write().map_err(|e| format!("write {}: {e}", path.display()))
 }
 
 /// The supervised result of one cell, after all attempts.
@@ -657,9 +671,9 @@ fn parse_manifest(text: &str) -> Option<(u64, Vec<ManifestEntry>)> {
 struct CellResult {
     outcome: CellOutcome,
     trace: Option<Vec<u8>>,
-    /// Fault rows in the trace, counted where the trace is first decoded
-    /// (the worker, or the resume check) so the serial verdict phase
-    /// never decodes a trace just to count them.
+    /// Fault rows in the trace: read from the section's row-count prefix
+    /// by the worker, or counted by the resume check's decode, so the
+    /// serial verdict phase never decodes a trace just to count them.
     fault_rows: usize,
     attempts: u32,
     flaky: bool,
@@ -790,11 +804,13 @@ fn execute_cell(
     }
 }
 
-/// Salvages completed cells from an interrupted run's manifest. `Ok`
-/// entries are revalidated against the archived bytes (existence,
-/// length, checksum, parseability); failed entries are reused verbatim —
-/// their retries are already spent, and reuse keeps the resumed summary
-/// byte-identical. Anything missing or corrupt is simply left to re-run.
+/// Salvages completed cells from an interrupted run's journal. The walk
+/// stops at the first torn or CRC-bad frame, and a later entry for a
+/// cell replaces an earlier one. `Ok` entries are revalidated against the
+/// archived bytes (existence, length, checksum, parseability); failed
+/// entries are reused verbatim — their retries are already spent, and
+/// reuse keeps the resumed summary byte-identical. Anything missing or
+/// corrupt is simply left to re-run.
 fn salvage(
     plan: &MatrixPlan,
     dir: &Path,
@@ -809,24 +825,38 @@ fn salvage(
             }
         }
     }
-    let Ok(text) = std::fs::read_to_string(dir.join("manifest.json")) else {
-        return Ok(()); // no manifest — nothing to salvage
+    let Ok(data) = std::fs::read(dir.join(JOURNAL)) else {
+        return Ok(()); // no journal — nothing to salvage
     };
-    let Some((recorded, entries)) = parse_manifest(&text) else {
-        return Ok(()); // corrupt manifest — re-run everything
+    let Ok(mut frames) = Frames::new(&data) else {
+        return Ok(()); // corrupt header — re-run everything
+    };
+    let Some(Ok(spec)) = frames.next().map(|f| f.get::<SpecRow>()) else {
+        return Ok(()); // no intact spec frame — re-run everything
+    };
+    let Some(&SpecRow(recorded)) = spec.iter().next() else {
+        return Ok(());
     };
     if recorded != spec_checksum {
         return Err(format!(
             "resume: output dir {} was produced by a different spec \
-             (manifest checksum {recorded:016x}, spec {spec_checksum:016x})",
+             (journal checksum {recorded:016x}, spec {spec_checksum:016x})",
             dir.display(),
         ));
     }
-    for e in entries {
-        let Some(coord) = cells.get(e.index) else {
-            continue;
+    let mut latest: Vec<Option<ManifestEntry>> = vec![None; cells.len()];
+    for frame in frames {
+        let Ok(rows) = frame.get::<ManifestEntry>() else {
+            break;
         };
-        if plan.file_name(coord) != e.file {
+        for e in rows.iter() {
+            if let Some(slot) = latest.get_mut(e.index) {
+                *slot = Some(e.clone());
+            }
+        }
+    }
+    for e in latest.into_iter().flatten() {
+        if plan.file_name(&cells[e.index]) != e.file {
             continue;
         }
         match &e.outcome {
@@ -868,13 +898,13 @@ fn salvage(
 /// off a shared counter by `jobs` workers — 0 means the spec's `jobs`,
 /// which itself defaults to all cores), supervises each cell per the
 /// spec's `[robustness]` section (see the module docs), archives one
-/// trace per cell plus a checksummed `manifest.json` under `out_dir` (if
-/// given), then verdicts every cell against its declared baseline
+/// trace per cell plus the `manifest.evsg` resume journal under `out_dir`
+/// (if given), then verdicts every cell against its declared baseline
 /// through the diff engine at the spec's threshold.
 ///
 /// With `resume`, cells already completed by an interrupted run (per the
-/// manifest) are revalidated and reused instead of re-run; the resulting
-/// summaries are byte-identical to an uninterrupted run.
+/// journal) are revalidated and reused instead of re-run; the resulting
+/// archive and summaries are byte-identical to an uninterrupted run.
 ///
 /// # Errors
 ///
@@ -913,8 +943,16 @@ pub fn run(
         (0, 0) => std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
         (0, n) | (n, _) => n,
     };
+    // The journal starts with the spec and the salvaged cells; each cell
+    // finished below appends its own frame.
+    let journal = out_dir
+        .map(|dir| write_journal(dir, spec_checksum, plan, &cells, &salvaged))
+        .transpose()?;
+    let reused = salvaged.iter().filter(|r| r.is_some()).count();
+    // Workers run cells under `catch_unwind`, so none panics holding it.
+    const POISONED: &str = "campaign worker panicked holding the results lock";
     let next = AtomicUsize::new(0);
-    let results: Mutex<Vec<Option<CellResult>>> = Mutex::new(salvaged);
+    let state = Mutex::new((salvaged, journal));
     std::thread::scope(|scope| {
         for _ in 0..jobs.min(cells.len()).max(1) {
             scope.spawn(|| loop {
@@ -922,42 +960,30 @@ pub fn run(
                 let Some(coord) = cells.get(index) else {
                     break;
                 };
-                if results.lock().unwrap()[index].is_some() {
+                if state.lock().expect(POISONED).0[index].is_some() {
                     continue; // salvaged from the interrupted run
                 }
                 let result = execute_cell(plan, engine, coord, out_dir);
-                let mut slots = results.lock().unwrap();
-                slots[index] = Some(result);
-                if let Some(dir) = out_dir {
-                    // Rewrite the manifest after every completed cell (the
-                    // lock keeps it consistent); failure to persist it is
-                    // non-fatal — only resumability degrades.
-                    let entries: Vec<ManifestEntry> = slots
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(i, r)| {
-                            r.as_ref().map(|r| ManifestEntry {
-                                index: i,
-                                file: plan.file_name(&cells[i]),
-                                outcome: r.outcome.clone(),
-                                attempts: r.attempts,
-                                flaky: r.flaky,
-                                bytes: r.trace.as_ref().map_or(0, Vec::len),
-                                checksum: r.checksum,
-                            })
-                        })
-                        .collect();
-                    let _ = write_atomic(
-                        &dir.join("manifest.json"),
-                        render_manifest(spec_checksum, &entries).as_bytes(),
-                    );
+                let mut state = state.lock().expect(POISONED);
+                let (slots, journal) = &mut *state;
+                if let Some(journal) = journal {
+                    // A failed append is not fatal: only resumability
+                    // degrades, and the cell re-runs on resume.
+                    let entry = ManifestEntry::new(plan, coord, &result);
+                    let _ = journal.append(&Table::from_iter([entry]));
                 }
+                slots[index] = Some(result);
             });
         }
     });
-    let results: Vec<CellResult> = results
-        .into_inner()
-        .unwrap()
+    let (slots, _) = state.into_inner().expect(POISONED);
+    if let Some(dir) = out_dir.filter(|_| reused < cells.len()) {
+        // Rewritten once in index order, so the archive's journal does not
+        // depend on which cells finished first, or in which run. When every
+        // cell was salvaged, the journal written above already is that.
+        write_journal(dir, spec_checksum, plan, &cells, &slots)?;
+    }
+    let results: Vec<CellResult> = slots
         .into_iter()
         .map(|r| r.expect("every cell visited"))
         .collect();
@@ -1023,6 +1049,7 @@ pub fn run(
 mod tests {
     use super::*;
     use eventdb::ScratchDir;
+    use std::collections::BTreeMap;
 
     fn tiny_spec(extra: &str) -> CampaignSpec {
         CampaignSpec::parse(&format!(
@@ -1108,10 +1135,29 @@ mod tests {
             std::fs::read_to_string(dir.join("summary.json")).unwrap(),
             run.to_json()
         );
-        let manifest = std::fs::read_to_string(dir.join("manifest.json")).unwrap();
-        let (checksum, entries) = parse_manifest(&manifest).expect("manifest parses");
-        assert_eq!(checksum, fnv1a(plan.spec.to_string().as_bytes()));
+        let journal = std::fs::read(dir.join(JOURNAL)).unwrap();
+        let mut frames = Frames::new(&journal).expect("journal header");
+        let spec = frames.next().expect("spec frame").get::<SpecRow>().unwrap();
+        assert_eq!(spec.len(), 1);
+        assert_eq!(
+            spec.iter().next().unwrap().0,
+            fnv1a(plan.spec.to_string().as_bytes())
+        );
+        let entries: Vec<ManifestEntry> = frames
+            .by_ref()
+            .map(|f| {
+                let rows = f.get::<ManifestEntry>().expect("cell frame");
+                assert_eq!(rows.len(), 1, "one entry per frame");
+                rows.iter().next().unwrap().clone()
+            })
+            .collect();
+        assert_eq!(frames.offset(), journal.len(), "no torn tail");
         assert_eq!(entries.len(), run.cells.len());
+        for (e, cell) in entries.iter().zip(&run.cells) {
+            assert_eq!((e.index, &e.file), (cell.coord.index, &cell.file));
+            let bytes = std::fs::read(dir.join(&e.file)).unwrap();
+            assert_eq!((e.bytes, e.checksum), (bytes.len(), fnv1a(&bytes)));
+        }
     }
 
     fn fixture_spec(workloads: &str, robustness: &str) -> MatrixPlan {
@@ -1232,36 +1278,92 @@ mod tests {
         assert!(e.contains("output directory"), "{e}");
     }
 
+    /// Every file in `dir` by name, with its bytes.
+    fn archive(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| {
+                let e = e.unwrap();
+                let name = e.file_name().into_string().unwrap();
+                (name, std::fs::read(e.path()).unwrap())
+            })
+            .collect()
+    }
+
+    #[cfg(unix)]
+    fn inode(path: &Path) -> Option<u64> {
+        use std::os::unix::fs::MetadataExt;
+        std::fs::metadata(path).ok().map(|m| m.ino())
+    }
+
+    /// Cuts the journal at every frame boundary and one byte either side,
+    /// and flips each of its bytes in turn. Every damaged journal resumes
+    /// without error, re-runs exactly the cells whose frames or traces
+    /// were lost (a re-run trace is a new file, so it has a new inode),
+    /// and leaves the uninterrupted archive byte for byte.
+    #[cfg(unix)]
     #[test]
-    fn manifest_round_trips_through_its_parser() {
-        let entries = vec![
-            ManifestEntry {
-                index: 0,
-                file: "a.evdb".to_string(),
-                outcome: CellOutcome::Ok,
-                attempts: 1,
-                flaky: false,
-                bytes: 42,
-                checksum: 0xdead_beef,
-            },
-            ManifestEntry {
-                index: 3,
-                file: "b.evdb".to_string(),
-                outcome: CellOutcome::Panicked("tab\there \"quote\" \\ back\nline".to_string()),
-                attempts: 3,
-                flaky: false,
-                bytes: 0,
-                checksum: 0,
-            },
-        ];
-        let text = render_manifest(7, &entries);
-        let (checksum, parsed) = parse_manifest(&text).expect("round trip");
-        assert_eq!(checksum, 7);
-        assert_eq!(parsed.len(), 2);
-        assert_eq!(parsed[0].index, 0);
-        assert_eq!(parsed[0].checksum, 0xdead_beef);
-        assert_eq!(parsed[1].outcome, entries[1].outcome);
-        assert_eq!(parsed[1].attempts, 3);
+    fn a_cut_or_flipped_journal_resumes_to_the_uninterrupted_archive() {
+        let scratch = ScratchDir::new("sgxperf-journal");
+        let dir = scratch.path();
+        // The panicking cell sits between two healthy ones, so a salvaged
+        // failure detail is followed by more frames.
+        let plan = fixture_spec(
+            "\"ecall_storm\", \"panicking\", \"io_fsync_loop\"",
+            "retries = 0\n",
+        );
+        let full = run(&plan, Engine::Fast, 1, Some(dir), false).unwrap();
+        let clean = archive(dir);
+        let journal = clean[JOURNAL].clone();
+        let mut frames = Frames::new(&journal).unwrap();
+        let mut ends = vec![frames.offset()];
+        while frames.next().is_some() {
+            ends.push(frames.offset());
+        }
+        assert_eq!(
+            ends.len(),
+            2 + full.cells.len(),
+            "header, spec, one per cell"
+        );
+        assert_eq!(ends.last(), Some(&journal.len()));
+
+        // `damaged` keeps the frames that end at or before `intact_to`:
+        // frame 0 is the spec, frame k + 1 is cell k.
+        let check = |damaged: &[u8], intact_to: usize, what: &str| {
+            std::fs::write(dir.join(JOURNAL), damaged).unwrap();
+            let before: Vec<_> = full
+                .cells
+                .iter()
+                .map(|c| inode(&dir.join(&c.file)))
+                .collect();
+            run(&plan, Engine::Fast, 1, Some(dir), true)
+                .unwrap_or_else(|e| panic!("{what}: resume failed: {e}"));
+            assert!(archive(dir) == clean, "{what}: archive differs");
+            let intact = ends[1..].iter().filter(|&&end| end <= intact_to).count();
+            for (cell, before) in full.cells.iter().zip(before) {
+                if cell.outcome != CellOutcome::Ok {
+                    continue; // no trace, so no inode to watch
+                }
+                let rerun = inode(&dir.join(&cell.file)) != before;
+                let lost = before.is_none() || cell.coord.index + 1 >= intact;
+                assert_eq!(rerun, lost, "{what}: cell {}", cell.coord.index);
+            }
+        };
+        for &end in &ends {
+            for cut in [end.saturating_sub(1), end, end + 1] {
+                let cut = cut.min(journal.len());
+                check(&journal[..cut], cut, &format!("cut at {cut}"));
+            }
+        }
+        for at in 0..journal.len() {
+            let mut flipped = journal.clone();
+            flipped[at] ^= 0xff;
+            check(&flipped, at, &format!("byte {at} flipped"));
+        }
+        // A lost trace under an intact journal re-runs only its cell, whose
+        // frame is appended last; the journal still ends in cell order.
+        std::fs::remove_file(dir.join(&full.cells[0].file)).unwrap();
+        check(&journal, journal.len(), "first trace deleted");
     }
 
     #[test]

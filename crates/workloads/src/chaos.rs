@@ -10,7 +10,9 @@
 //! `Vec<u8>` catches every regression a field-by-field comparison could
 //! miss (table presence, encoding, row order).
 
+use eventdb::{Record, StoreView};
 use sgx_perf::analysis::diff::{DiffConfig, TraceDiff};
+use sgx_perf::events::FaultRow;
 use sgx_perf::{Logger, LoggerConfig, TraceDb};
 use sgx_sdk::SwitchlessConfig;
 use sim_core::fault::{FaultKind, FaultPlan, FaultTrigger};
@@ -51,17 +53,21 @@ pub fn switchless_trace(profile: HwProfile, plan: Option<&FaultPlan>) -> Vec<u8>
 }
 
 /// Fault rows recorded in serialised trace bytes — the differential
-/// tests' "did anything actually fire" probe.
+/// tests' "did anything actually fire" probe. Reads the `faults`
+/// section's row-count prefix without decoding any table; a trace
+/// without the section has none.
 ///
 /// # Panics
 ///
 /// Panics on corrupt trace bytes (cannot happen for bytes produced by the
 /// functions above).
 pub fn fault_rows(bytes: &[u8]) -> usize {
-    TraceDb::from_bytes(bytes)
+    StoreView::from_bytes(bytes)
         .expect("trace bytes")
-        .faults
-        .len()
+        .sections()
+        .map(|s| s.expect("trace section"))
+        .find(|s| s.tag == FaultRow::TAG)
+        .map_or(0, |s| usize::try_from(s.rows).expect("fault row count"))
 }
 
 /// Runs the classic-path fixture twice — fault-free (baseline) and under
@@ -179,6 +185,18 @@ mod tests {
         let a = antipatterns_trace(HwProfile::Spectre, Some(&plan));
         let b = antipatterns_trace(HwProfile::Spectre, Some(&plan));
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn fault_rows_match_the_decoded_faults_table() {
+        let clean = antipatterns_trace(HwProfile::Unpatched, None);
+        let faulted = antipatterns_trace(HwProfile::Unpatched, Some(&random_plan(7)));
+        for bytes in [&clean, &faulted] {
+            let decoded = TraceDb::from_bytes(bytes).unwrap().faults.len();
+            assert_eq!(fault_rows(bytes), decoded);
+        }
+        assert_eq!(fault_rows(&clean), 0);
+        assert!(fault_rows(&faulted) > 0, "the plan must fire");
     }
 
     #[test]

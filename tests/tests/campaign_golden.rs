@@ -60,12 +60,12 @@ fn smoke_spec_is_byte_identical_across_runs_and_engines() {
     assert_eq!(fast1.to_json(), legacy.to_json());
 
     // Every archived artifact — one trace per cell plus the two summary
-    // files and the manifest — is byte-identical too.
+    // files and the `manifest.evsg` resume journal — is byte-identical too.
     let a = artifacts(&dir_fast1);
     assert_eq!(
         a.len(),
         plan.spec.cell_count() + 3,
-        "one file per cell + summaries + manifest"
+        "one file per cell + summaries + journal"
     );
     assert_eq!(a, artifacts(&dir_fast2), "fast run-to-run artifacts");
     assert_eq!(a, artifacts(&dir_legacy), "fast vs legacy artifacts");
